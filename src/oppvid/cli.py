@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -150,10 +151,14 @@ class _Fields:
 
     def number(self, key: str) -> float:
         try:
-            return float(self.raw(key))
+            value = float(self.raw(key))
         except ValueError:
             self.issues.append(ConfigIssue(key, f"not a number: {self.raw(key)!r}"))
             return 0.0
+        if not math.isfinite(value):
+            self.issues.append(ConfigIssue(key, f"not a finite number: {self.raw(key)!r}"))
+            return 0.0
+        return value
 
     def boolean(self, key: str) -> bool:
         raw = self.raw(key).lower()

@@ -202,7 +202,8 @@ class NodeView(Protocol):
 
 
 class ProtocolViolation(Exception):
-    """Out-of-phase message; the owner treats it as an abrupt disconnect."""
+    """Out-of-phase message; ``step`` ends the connection abruptly and keeps it
+    on the engine as ``violation`` for the owner to inspect."""
 
 
 class ConnectionEngine:
@@ -217,6 +218,7 @@ class ConnectionEngine:
         self._got_peer_inventory = False
         self._got_peer_request = False
         self._inflight: tuple[PayloadId, int] | None = None
+        self.violation: ProtocolViolation | None = None
 
     @property
     def peer_is_destination(self) -> bool:
@@ -231,7 +233,8 @@ class ConnectionEngine:
             return []
         try:
             return self._dispatch(event, now)
-        except ProtocolViolation:
+        except ProtocolViolation as exc:
+            self.violation = exc
             self._finish(graceful=False)
             return []
 

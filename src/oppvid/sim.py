@@ -5,12 +5,15 @@ and the per-connection protocol engines. Every event is processed at a
 single (time, priority, sequence) point, so a scenario (including its seed)
 maps to exactly one run. Copy-count conservation is tracked exactly: for
 every payload the relay-side sum must equal the initial budget minus copies
-lost to TTL expiry or ACK deletion, and ``verify_global_invariants`` checks
-that after any event.
+lost to TTL expiry or ACK deletion. A checked run verifies the invariants
+per event on what changed (the payload ids the event touched, the stores it
+swept, the destination's ACK if it was replaced), and runs the full scan,
+``verify_global_invariants``, at the end of the run.
 """
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -39,7 +42,7 @@ from .protocol import (
     TransferFinished,
     should_connect,
 )
-from .store import InsertResult, NodeStore, StoredEntry
+from .store import ChangeLog, InsertResult, NodeStore, StoredEntry
 from .trace import ContactEvent, ContactKind, trace_nodes
 from .wire import PayloadMsg, RequestMsg, transmission_size
 
@@ -215,8 +218,13 @@ class _NodeView:
 class Simulator:
     """One scenario's world plus its event loop.
 
+    With ``check_invariants``, the invariants are checked per event on what
+    changed, with a full scan at the end of the run; either raises
+    ``InvariantViolationError``, as does a protocol violation that the
+    connection engine would otherwise turn into an abrupt disconnect.
     ``seed_payload`` lets tests plant replicas directly; ``on_event`` is a
-    post-event hook ``f(sim, kind, time, data)`` for observation.
+    post-event hook ``f(sim, kind, time, data)`` for observation, called
+    after the event's check.
     """
 
     def __init__(
@@ -233,7 +241,11 @@ class Simulator:
         nodes = sorted(trace_nodes(scenario.trace) | {scenario.source, scenario.destination})
         self.nodes = nodes
         self.relay_nodes = [n for n in nodes if n != scenario.destination]
-        self.stores: dict[str, NodeStore] = {n: NodeStore() for n in self.relay_nodes}
+        # Checked runs share one change log with every store; _check_changes
+        # drains it after each event.
+        self._changes = ChangeLog() if check_invariants else None
+        self._checked_dest_ack: Ack | None = None
+        self.stores: dict[str, NodeStore] = {n: NodeStore(self._changes) for n in self.relay_nodes}
         self.dest_state = DestinationState()
         self.node_ack: dict[str, Ack] = {n: Ack.empty(scenario.destination) for n in nodes}
         self.recents: dict[str, RecentContacts] = {n: RecentContacts() for n in nodes}
@@ -280,8 +292,8 @@ class Simulator:
     def _validate(scenario: Scenario) -> None:
         if scenario.source == scenario.destination:
             raise ScenarioError("source and destination must differ")
-        if scenario.bandwidth_bytes_per_sec <= 0:
-            raise ScenarioError("bandwidth must be positive")
+        if not (math.isfinite(scenario.bandwidth_bytes_per_sec) and scenario.bandwidth_bytes_per_sec > 0):
+            raise ScenarioError("bandwidth must be positive and finite")
         if scenario.ttl <= 0:
             raise ScenarioError("ttl must be positive")
         if scenario.duration < 0:
@@ -326,12 +338,29 @@ class Simulator:
             elif kind == "ack":
                 self._on_ack_tick(data)
             if self.check_invariants:
-                violations = verify_global_invariants(self)
+                violations = self._check_changes()
                 if violations:
                     raise InvariantViolationError(violations)
             if self.on_event is not None:
                 self.on_event(self, kind, time, data)
+        if self.check_invariants:
+            violations = verify_global_invariants(self)
+            if violations:
+                raise InvariantViolationError(violations)
         return self._collect_metrics()
+
+    def _check_changes(self) -> list[Violation]:
+        """The invariants over what changed since the previous check."""
+        changes = self._changes
+        dest_ack = self.node_ack[self.scenario.destination]
+        ack_changed = dest_ack is not self._checked_dest_ack
+        if not (changes.ids or changes.swept or ack_changed):
+            return []
+        violations = _violations(self, changes.ids, changes.swept, ack_changed)
+        changes.ids.clear()
+        changes.swept.clear()
+        self._checked_dest_ack = dest_ack
+        return violations
 
     # -- event handlers --------------------------------------------------------
 
@@ -414,14 +443,26 @@ class Simulator:
 
     def _lose(self, pid: PayloadId, copies: int) -> None:
         self.lost_copies[pid] = self.lost_copies.get(pid, 0) + copies
+        if self._changes is not None:
+            self._changes.ids.add(pid)
 
     def _step_engine(self, conn: _Connection, node: str, event, now: float) -> None:
         engine = conn.engines[node]
         if engine.state.phase is Phase.DONE:
             return
         actions = engine.step(event, now)
+        if engine.violation is not None:
+            self._check_engine(engine, now)
         self._apply_actions(conn, node, actions, now)
         self._after_step(conn, node, now)
+
+    def _check_engine(self, engine: ConnectionEngine, now: float) -> None:
+        """Raise in checked runs on a protocol violation the engine swallowed."""
+        if self.check_invariants:
+            raise InvariantViolationError([
+                Violation("protocol-violation", None, now,
+                          f"node {engine.view.node_id} (peer {engine.peer}): {engine.violation}")
+            ])
 
     def _apply_actions(self, conn: _Connection, node: str, actions: list[Action], now: float) -> None:
         for action in actions:
@@ -463,8 +504,12 @@ class Simulator:
         self.relay_transmissions += 1
         self.bytes_relayed += msg.payload.size_bytes
 
-        receiver_actions = conn.engines[receiver].step(MessageReceived(msg), now)
-        sender_actions = conn.engines[sender].step(TransferFinished(pid), now)
+        receiving, sending = conn.engines[receiver], conn.engines[sender]
+        receiver_actions = receiving.step(MessageReceived(msg), now)
+        sender_actions = sending.step(TransferFinished(pid), now)
+        for engine in (receiving, sending):
+            if engine.violation is not None:
+                self._check_engine(engine, now)
         accepts = [a for a in receiver_actions if isinstance(a, AcceptPayload)]
         commits = [a for a in sender_actions if isinstance(a, CommitRelay)]
         self._settle_transfer(sender, receiver, msg, bool(accepts), commits, now)
@@ -503,7 +548,7 @@ class Simulator:
         if sender_present and not stored:
             self._lose(pid, moved)
         elif not sender_present and stored:
-            self.lost_copies[pid] = self.lost_copies.get(pid, 0) - moved
+            self._lose(pid, -moved)
 
     def _maybe_mark_base_delivery(self, pid: PayloadId, now: float) -> None:
         if pid.source_node != self.scenario.source:
@@ -594,48 +639,75 @@ def run(scenario: Scenario, check_invariants: bool = False, on_event=None) -> Ru
 def verify_global_invariants(sim: Simulator) -> list[Violation]:
     """Full-scan check of the world; empty result means all invariants hold.
 
-    Runs after every event in checked mode, so the loops stay lean.
+    The per-event rules applied to every payload id and every store. Checked
+    runs call it once, at the end; it has no side effects, so it can be
+    called at any point as the oracle for the per-event check.
+    """
+    pids = set(sim.initial_copies)
+    for store in sim.stores.values():
+        pids.update(store._entries)
+    return _violations(sim, pids, set(sim.stores.values()), True)
+
+
+def _violations(
+    sim: Simulator, pids: set[PayloadId], swept: set[NodeStore], check_ack: bool
+) -> list[Violation]:
+    """The invariant rules over a scope of the world.
+
+    Expiry is checked for every entry of each store in ``swept`` and for the
+    entries of ``pids`` in the other stores; id mapping and conservation for
+    each id in ``pids``; ACK monotonicity if ``check_ack``.
     """
     violations: list[Violation] = []
-    actual: dict[PayloadId, int] = {}
-    actual_get = actual.get
-    for node in sim.relay_nodes:
-        store = sim.stores[node]
+    now = sim.now
+    held: dict[PayloadId, int] = {}  # relay-side copy sum per id in ``pids``
+    held_get = held.get
+    for node, store in sim.stores.items():  # relay nodes, in order
+        entries = store._entries
+        if store in swept:
+            items = entries.items()
+        elif pids:
+            items = [(pid, entries[pid]) for pid in pids if pid in entries]
+        else:
+            continue
         sweep_at = store.last_sweep_at
-        for pid, entry in store._entries.items():
-            actual[pid] = actual_get(pid, 0) + entry.meta.copy_count
+        for pid, entry in items:
             payload = entry.payload
             if payload.expired(sweep_at):
                 violations.append(
-                    Violation("expired-payload-retained", pid, sim.now,
+                    Violation("expired-payload-retained", pid, now,
                               f"node {node} holds it past TTL despite a sweep at {sweep_at}")
                 )
-            if payload.id != pid:
+            if pid in pids:
+                held[pid] = held_get(pid, 0) + entry.meta.copy_count
+                if payload.id != pid:
+                    violations.append(
+                        Violation("duplicate-replica", pid, now,
+                                  f"node {node} maps {pid} to payload {payload.id}")
+                    )
+    initial_get = sim.initial_copies.get
+    lost_get = sim.lost_copies.get
+    for pid in pids:
+        initial = initial_get(pid)
+        if initial is None:
+            if pid in held:
                 violations.append(
-                    Violation("duplicate-replica", pid, sim.now,
-                              f"node {node} maps {pid} to payload {payload.id}")
+                    Violation("copy-conservation", pid, now, "replica of an unregistered payload")
                 )
-    lost = sim.lost_copies
-    lost_get = lost.get
-    pop = actual.pop
-    for pid, initial in sim.initial_copies.items():
-        expected = initial - lost_get(pid, 0)
-        got = pop(pid, 0)
-        if got != expected:
+            continue
+        got = held_get(pid, 0)
+        if got != initial - lost_get(pid, 0):
             violations.append(
-                Violation("copy-conservation", pid, sim.now,
+                Violation("copy-conservation", pid, now,
                           f"relay-side sum {got} != initial {initial} - lost {lost_get(pid, 0)}")
             )
-    for pid in sorted(actual, key=lambda p: p.canonical):
-        violations.append(
-            Violation("copy-conservation", pid, sim.now, "replica of an unregistered payload")
-        )
     violations.sort(key=lambda v: (v.invariant, v.payload_id.canonical if v.payload_id else ""))
-    dest_ack = sim.node_ack[sim.scenario.destination]
-    if not dest_ack.delivered_ids <= sim.dest_state.received:
-        extra = next(iter(dest_ack.delivered_ids - sim.dest_state.received))
-        violations.append(
-            Violation("ack-monotonicity", extra, sim.now,
-                      "destination acknowledged a payload it never received")
-        )
+    if check_ack:
+        dest_ack = sim.node_ack[sim.scenario.destination]
+        if not dest_ack.delivered_ids <= sim.dest_state.received:
+            extra = next(iter(dest_ack.delivered_ids - sim.dest_state.received))
+            violations.append(
+                Violation("ack-monotonicity", extra, now,
+                          "destination acknowledged a payload it never received")
+            )
     return violations

@@ -24,20 +24,36 @@ class StoredEntry:
     meta: RelayMetadata
 
 
+class ChangeLog:
+    """What the stores of one checked world changed since the last check:
+    the payload ids their mutators touched, and the stores whose
+    ``last_sweep_at`` moved."""
+
+    __slots__ = ("ids", "swept")
+
+    def __init__(self):
+        self.ids: set[PayloadId] = set()
+        self.swept: set[NodeStore] = set()
+
+
 class NodeStore:
     """Storage module of a single node.
 
     Expiry is lazy: nothing leaves the store except through explicit
     ``expire(now)`` sweeps or ``apply_ack``. A duplicate insert keeps the
     existing entry untouched (copy counts are never merged).
+
+    ``changes``, when given, is shared by every store of one checked world
+    and records what each mutator changed; unchecked stores record nothing.
     """
 
-    def __init__(self):
+    def __init__(self, changes: ChangeLog | None = None):
         self._entries: dict[PayloadId, StoredEntry] = {}
         # (expiry_time, canonical id) min-heap; entries may be stale after
         # ack/update removals and are skipped on pop.
         self._expiry_heap: list[tuple[int, str, PayloadId]] = []
         self.last_sweep_at: float = 0.0
+        self._changes = changes
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -55,6 +71,10 @@ class NodeStore:
         return list(self._entries.values())
 
     def insert(self, entry: StoredEntry, now: float) -> InsertResult:
+        if self._changes is not None:
+            # Noted whatever the result: callers register the id's copy
+            # budget right after inserting it.
+            self._changes.ids.add(entry.payload.id)
         if entry.payload.expired(now):
             return InsertResult.EXPIRED
         if entry.payload.id in self._entries:
@@ -69,6 +89,9 @@ class NodeStore:
         return [e.payload.id for e in self.expire_entries(now)]
 
     def expire_entries(self, now: float) -> list[StoredEntry]:
+        changes = self._changes
+        if changes is not None and now != self.last_sweep_at:
+            changes.swept.add(self)
         self.last_sweep_at = now
         removed: list[StoredEntry] = []
         while self._expiry_heap and self._expiry_heap[0][0] < now:
@@ -76,6 +99,8 @@ class NodeStore:
             entry = self._entries.pop(pid, None)
             if entry is not None:
                 removed.append(entry)
+                if changes is not None:
+                    changes.ids.add(pid)
         return removed
 
     def apply_ack(self, ack: Ack) -> list[PayloadId]:
@@ -88,6 +113,8 @@ class NodeStore:
         removed = [e for pid, e in self._entries.items() if pid in ack.delivered_ids]
         for entry in removed:
             del self._entries[entry.payload.id]
+        if self._changes is not None:
+            self._changes.ids.update(e.payload.id for e in removed)
         return removed
 
     def inventory(self) -> list[tuple[PayloadId, int]]:
@@ -102,6 +129,8 @@ class NodeStore:
         entry = self._entries.get(pid)
         if entry is None:
             raise MissingPayloadError(f"payload not stored: {pid}")
+        if self._changes is not None:
+            self._changes.ids.add(pid)
         if new_count != entry.meta.copy_count:
             self._entries[pid] = StoredEntry(
                 entry.payload, RelayMetadata(new_count, entry.meta.traversed_nodes)

@@ -6,6 +6,7 @@ so recorded traces load directly.
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -80,6 +81,8 @@ def parse_trace(text: str) -> list[ContactEvent]:
             time = float(fields[0])
         except ValueError:
             raise TraceError(f"line {lineno}: bad time {fields[0]!r}") from None
+        if not math.isfinite(time):
+            raise TraceError(f"line {lineno}: non-finite time {fields[0]!r}")
         if time < 0:
             raise TraceError(f"line {lineno}: negative time {time}")
         try:

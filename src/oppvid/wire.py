@@ -159,8 +159,20 @@ class _Reader:
 
 
 def decode(buf: bytes) -> ControlMessage:
-    """Parse one control message; rejects unknown types, truncation, trailing bytes."""
-    r = _Reader(buf)
+    """Parse one control message; rejects unknown types, truncation, trailing bytes.
+
+    Every failure is a ``WireError``, including invalid UTF-8 and field values
+    the domain types reject (zero size, zero copy count, a bad node id).
+    """
+    try:
+        return _decode(_Reader(buf))
+    except WireError:
+        raise
+    except ValueError as exc:
+        raise WireError(f"invalid field on wire: {exc}") from exc
+
+
+def _decode(r: _Reader) -> ControlMessage:
     code = r.u32()
     if code == TYPE_ACK:
         destination = r.string()

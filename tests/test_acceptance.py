@@ -9,7 +9,6 @@ criterion 5 spells the increase/halve rules out literally.
 from __future__ import annotations
 
 import math
-import random
 import re
 import statistics
 import time
@@ -17,8 +16,9 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
+from conftest import random_scenario
 
-from oppvid.adaptation import AdaptationConfig, LayerSizeModel
+from oppvid.adaptation import AdaptationConfig
 from oppvid.cli import main as cli_main
 from oppvid.destination import DestinationState, decodable_quality, ingest
 from oppvid.model import Ack, Payload, PayloadId, RelayMetadata, SegmentRecord
@@ -62,39 +62,11 @@ def criterion(number: int, title: str):
 
 # -- 1. conservation across randomized scenarios --------------------------------
 
-def _random_scenario(seed: int) -> Scenario:
-    rng = random.Random(seed)
-    nodes = rng.randint(3, 20)
-    duration = rng.choice([2000, 4000, 6000])
-    trace = generate_synthetic_trace(
-        nodes=nodes,
-        duration=duration,
-        mean_intercontact=rng.choice([300, 700, 1500, 3000]),
-        mean_contact_duration=rng.choice([10, 40, 120, 400]),
-        seed=seed,
-    )
-    return Scenario(
-        trace=tuple(trace),
-        source="n00",
-        destination="n01",
-        ttl=rng.choice([400, 1200, 3000]),
-        bandwidth_bytes_per_sec=rng.choice([15_000, 60_000, 250_000]),
-        duration=duration,
-        adaptation=AdaptationConfig(
-            segment_period=rng.choice([300, 600]),
-            initial_copy_count=rng.choice([2, 8, 16]),
-        ),
-        mode=rng.choice([AdaptiveSvc(), FixedNonSvc("low")]),
-        seed=seed,
-        sizes=LayerSizeModel(base_bytes_low=30_000, extraction_info_bytes=400),
-    )
-
-
 def test_criterion_1_conservation_over_1000_random_scenarios():
     with criterion(1, "copy conservation over 1000 randomized scenarios"):
         started = time.monotonic()
         for seed in range(1000):
-            run(_random_scenario(seed), check_invariants=True)
+            run(random_scenario(seed), check_invariants=True)
         elapsed = time.monotonic() - started
         print(f"  (1000 checked scenarios in {elapsed:.1f}s)")
         assert elapsed < 120.0

@@ -1,3 +1,5 @@
+import pytest
+
 from oppvid.cli import (
     DEFAULTS,
     EXIT_CONFIG,
@@ -34,6 +36,23 @@ def test_minimal_config_gets_defaults():
 def test_zero_bandwidth_reported_at_field_path():
     _, issues = validate_config("bandwidth = 0")
     assert any(i.path == "bandwidth" and "positive" in i.message for i in issues)
+
+
+@pytest.mark.parametrize("key", ["bandwidth", "trace.synthetic.mean_intercontact",
+                                 "trace.synthetic.mean_contact_duration", "sizes.enhancement_ratio"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_number_reported_at_field_path(key, value):
+    config, issues = validate_config(f"{key} = {value}")
+    assert config is None
+    assert any(i.path == key and "finite" in i.message for i in issues)
+
+
+def test_non_finite_config_exits_with_config_error(tmp_path, capsys):
+    bad = tmp_path / "bad.conf"
+    bad.write_text("bandwidth = nan\n")
+    assert main(["validate", "--config", str(bad)]) == EXIT_CONFIG
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "bandwidth: not a finite number" in capsys.readouterr().err
 
 
 def test_source_equals_destination_reported():

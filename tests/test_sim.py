@@ -10,9 +10,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from conftest import random_scenario
 
 from oppvid.adaptation import AdaptationConfig, LayerSizeModel
-from oppvid.model import Payload, PayloadId, RelayMetadata
+from oppvid.model import Ack, Payload, PayloadId, RelayMetadata
 from oppvid.sim import (
     AdaptiveSvc,
     FixedNonSvc,
@@ -24,7 +25,9 @@ from oppvid.sim import (
     run,
     verify_global_invariants,
 )
+from oppvid.store import StoredEntry
 from oppvid.trace import generate_synthetic_trace, parse_trace
+from oppvid.wire import AckMsg
 
 NO_SEGMENTS = AdaptationConfig(segment_period=10_000_000)
 
@@ -223,22 +226,117 @@ def test_verifier_detects_duplicated_replica_on_another_node():
 
 def test_checked_run_raises_on_injected_violation():
     scenario = chain_scenario(CHAIN)
+    seen = []
 
     def sabotage(sim, kind, time, data):
+        seen.append(time)
         if kind == "up" and time == 1000:
             sim.stores["b"].update_copy_count(
                 PayloadId("a", 0, 0), 1
             )
 
     sim, p = seeded_sim(scenario, check_invariants=True, on_event=sabotage)
-    with pytest.raises(InvariantViolationError):
+    with pytest.raises(InvariantViolationError) as info:
         sim.run()
+    # Raised by the very next event's check, long before the end of the run.
+    assert seen[-1] == 1000 and 1000 < sim.now < 1001
+    assert [(v.invariant, v.payload_id, v.time) for v in info.value.violations] == [
+        ("copy-conservation", p.id, sim.now)
+    ]
+
+
+def test_doctored_mapping_is_caught_by_the_end_of_run_scan():
+    seen = []
+
+    def doctor(sim, kind, time, data):
+        seen.append(time)
+        if kind == "ack" and time == 1500:
+            entry = sim.stores["b"].get(PayloadId("a", 0, 0))
+            sim.stores["b"]._entries[PayloadId("a", 9, 0)] = entry  # bypasses every mutator
+
+    sim, _ = seeded_sim(chain_scenario(CHAIN), check_invariants=True, on_event=doctor)
+    with pytest.raises(InvariantViolationError) as info:
+        sim.run()
+    assert seen[-1] == 1900  # every event passed its own check
+    assert {v.invariant for v in info.value.violations} == {"copy-conservation", "duplicate-replica"}
+    assert info.value.violations == verify_global_invariants(sim)
 
 
 def test_clean_world_reports_no_violations():
-    sim, _ = seeded_sim(chain_scenario(CHAIN))
+    sim, _ = seeded_sim(chain_scenario(CHAIN), check_invariants=True)
     sim.run()
     assert verify_global_invariants(sim) == []
+
+
+def _sabotage(sim: Simulator, rng: random.Random) -> None:
+    """Break one invariant the way a faulty event would: through the world's mutators."""
+    held = [(node, pid) for node in sim.relay_nodes for pid in sorted(sim.stores[node].ids(), key=str)]
+    node = rng.choice(sim.relay_nodes)
+    kind = rng.randrange(5)
+    if kind == 0 and held:
+        node, pid = rng.choice(held)
+        store = sim.stores[node]
+        store.update_copy_count(pid, store.get(pid).meta.copy_count + 1)
+    elif kind == 1 and held:
+        sim._lose(rng.choice(held)[1], 1)
+    elif kind == 2:
+        stray = Payload(PayloadId("zz", rng.randrange(100), 0), 1000, int(sim.now), 10_000)
+        sim.stores[node].insert(StoredEntry(stray, RelayMetadata(1, ("zz",))), sim.now)
+    elif kind == 3 and held:
+        sim.stores[rng.choice(held)[0]]._expiry_heap.clear()  # later sweeps keep what expires
+    else:
+        dest = sim.scenario.destination
+        ack = sim.node_ack[dest]
+        sim.node_ack[dest] = Ack(dest, ack.timestamp, ack.delivered_ids | {PayloadId("zz", 0, 0)})
+
+
+def test_per_event_check_agrees_with_the_full_scan():
+    caught = 0
+    for seed in range(40):
+        rng = random.Random(1000 + seed)
+        sabotage_at = rng.choice([None, rng.randrange(1, 400)])
+        events = 0
+
+        def hook(sim, kind, time, data):
+            nonlocal events
+            # This event passed the per-event check, so the full scan must agree.
+            assert verify_global_invariants(sim) == []
+            events += 1
+            if events == sabotage_at:
+                _sabotage(sim, rng)
+
+        sim = Simulator(random_scenario(seed), check_invariants=True, on_event=hook)
+        try:
+            sim.run()
+        except InvariantViolationError as exc:
+            caught += 1
+            assert exc.violations == verify_global_invariants(sim)
+        else:
+            assert verify_global_invariants(sim) == []
+    assert caught >= 10
+
+
+def test_checked_run_raises_on_a_swallowed_protocol_violation():
+    engines = []
+
+    def replay_ack(sim, kind, time, data):
+        if kind == "up" and time == 10:
+            conn = next(iter(sim.conns.values()))
+            engines.append(conn.engines["b"])
+            sim._schedule_message(conn, "a", AckMsg(sim.node_ack["a"]), time)  # a second ACK
+
+    sim, _ = seeded_sim(chain_scenario(CHAIN), check_invariants=True, on_event=replay_ack)
+    with pytest.raises(InvariantViolationError) as info:
+        sim.run()
+    assert [v.invariant for v in info.value.violations] == ["protocol-violation"]
+    assert "second ACK" in str(info.value)
+
+    # Unchecked, the engine keeps the violation and the contact ends abruptly.
+    engines.clear()
+    sim, p = seeded_sim(chain_scenario(CHAIN), on_event=replay_ack)
+    sim.run()
+    assert "second ACK" in str(engines[0].violation)
+    assert p.id not in sim.stores["b"] and sim.relay_transmissions == 0
 
 
 def test_fixed_mode_packages_one_full_size_payload_per_segment():
@@ -288,6 +386,9 @@ def test_scenario_validation_errors():
         Simulator(Scenario(**{**good, "source": "ghost"}))
     with pytest.raises(ScenarioError):
         Simulator(Scenario(**{**good, "ttl": 0}))
+    for bandwidth in (float("nan"), float("inf")):
+        with pytest.raises(ScenarioError, match="finite"):
+            Simulator(Scenario(**{**good, "bandwidth_bytes_per_sec": bandwidth}))
 
 
 def test_parse_mode():

@@ -42,6 +42,12 @@ def test_bad_time_reports_line_number():
         parse_trace("soon CONN a b up")
 
 
+@pytest.mark.parametrize("time", ["nan", "inf", "-inf", "1e400"])
+def test_non_finite_time_reports_line_number(time):
+    with pytest.raises(TraceError, match="line 2: non-finite"):
+        parse_trace(f"10 CONN a b up\n{time} CONN a b down")
+
+
 def test_nested_up_rejected():
     with pytest.raises(TraceError, match="nested"):
         parse_trace("10 CONN a b up\n20 CONN a b up")

@@ -1,4 +1,5 @@
 import re
+import struct
 from pathlib import Path
 
 import pytest
@@ -136,3 +137,40 @@ def test_transmission_size_charges_payload_content():
     msg = GOLDEN_INPUTS["PAYLOAD"]
     assert transmission_size(msg) == encoded_size(msg) + 2_000_000
     assert transmission_size(CompleteMsg()) == 4
+
+
+def _str(raw: bytes) -> bytes:
+    return struct.pack(">H", len(raw)) + raw
+
+
+def _payload_frame(size_bytes: int, copy_count: int) -> bytes:
+    return (struct.pack(">I", 4) + _str(b"a_s0_L0") + struct.pack(">QQQ", size_bytes, 0, 10)
+            + struct.pack(">II", copy_count, 1) + _str(b"a"))
+
+
+@pytest.mark.parametrize("frame", [
+    struct.pack(">I", 1) + _str(b"\xff") + struct.pack(">QI", 0, 0),  # invalid UTF-8
+    _payload_frame(size_bytes=0, copy_count=1),
+    _payload_frame(size_bytes=1, copy_count=0),
+    struct.pack(">I", 1) + _str(b"a b") + struct.pack(">QI", 0, 0),  # bad ACK destination
+], ids=["utf8", "size-0", "copy-count-0", "ack-destination"])
+def test_invalid_fields_raise_wire_error(frame):
+    with pytest.raises(WireError):
+        decode(frame)
+
+
+frames = st.one_of(
+    st.binary(max_size=96),
+    st.builds(lambda code, body: struct.pack(">I", code) + body, st.integers(1, 5), st.binary(max_size=96)),
+    messages.map(encode).flatmap(
+        lambda raw: st.tuples(st.just(raw), st.integers(0, max(len(raw) - 1, 0)), st.integers(0, 255))
+    ).map(lambda t: t[0][:t[1]] + bytes([t[2]]) + t[0][t[1] + 1:]),
+)
+
+
+@given(frames)
+def test_arbitrary_bytes_decode_or_raise_wire_error(frame):
+    try:
+        decode(frame)
+    except WireError:
+        pass
