@@ -33,6 +33,19 @@ class LayerSizeModel:
     enhancement_ratio: float = 0.6
     extraction_info_bytes: int = 4_096
 
+    def __post_init__(self):
+        if self.base_bytes_low < 1:
+            raise ValueError(f"base_bytes_low must be >= 1, got {self.base_bytes_low}")
+        if self.extraction_info_bytes < 1:
+            raise ValueError(f"extraction_info_bytes must be >= 1, got {self.extraction_info_bytes}")
+        if not (math.isfinite(self.enhancement_ratio) and self.enhancement_ratio > 0):
+            raise ValueError(f"enhancement_ratio must be finite and > 0, got {self.enhancement_ratio}")
+        if int(self.base_bytes_low * self.enhancement_ratio) < 1:
+            raise ValueError(
+                f"enhancement layers would be empty: int({self.base_bytes_low} * "
+                f"{self.enhancement_ratio}) < 1"
+            )
+
     def base_bytes(self, resolution: str) -> int:
         return self.base_bytes_low * RESOLUTION_SCALE[resolution]
 

@@ -240,11 +240,15 @@ def validate_config(text: str) -> tuple[ExperimentConfig | None, list[ConfigIssu
     except ValueError as exc:
         issues.append(ConfigIssue("adaptation", str(exc)))
 
-    sizes = LayerSizeModel(
-        base_bytes_low=f.integer("sizes.base_bytes_low"),
-        enhancement_ratio=f.number("sizes.enhancement_ratio"),
-        extraction_info_bytes=f.integer("sizes.extraction_info_bytes"),
-    )
+    sizes = None
+    try:
+        sizes = LayerSizeModel(
+            base_bytes_low=f.integer("sizes.base_bytes_low"),
+            enhancement_ratio=f.number("sizes.enhancement_ratio"),
+            extraction_info_bytes=f.integer("sizes.extraction_info_bytes"),
+        )
+    except ValueError as exc:
+        issues.append(ConfigIssue("sizes", str(exc)))
 
     ttl_values = f.int_list("sweep.ttl_values", [ttl])
     removal_counts = f.int_list("sweep.removal_counts", [0])
@@ -281,7 +285,7 @@ def validate_config(text: str) -> tuple[ExperimentConfig | None, list[ConfigIssu
     if any(k < 0 for k in removal_counts):
         issues.append(ConfigIssue("sweep.removal_counts", "removal counts must be >= 0"))
 
-    if issues or adaptation is None:
+    if issues or adaptation is None or sizes is None:
         return None, issues
     return (
         ExperimentConfig(

@@ -125,7 +125,6 @@ class Phase(Enum):
 @dataclass
 class ConnectionState:
     phase: Phase = Phase.DISCOVERY
-    peer: str | None = None
     sent_complete: bool = False
     received_complete: bool = False
     send_queue: list[PayloadId] = field(default_factory=list)
@@ -181,7 +180,6 @@ class CommitRelay:
 
     payload_id: PayloadId
     sender_keeps: int
-    copy_at_send: int
 
 
 Action = SendMessage | AdoptAck | AcceptPayload | CommitRelay
@@ -213,7 +211,7 @@ class ConnectionEngine:
         self.view = view
         self.peer = peer
         self.is_initiator = is_initiator
-        self.state = ConnectionState(peer=peer)
+        self.state = ConnectionState()
         self._got_peer_ack = False
         self._got_peer_inventory = False
         self._got_peer_request = False
@@ -313,7 +311,7 @@ class ConnectionEngine:
         actions: list[Action] = []
         if not self.peer_is_destination:
             keep, _ = split_copy_count(copy_at_send)
-            actions.append(CommitRelay(pid, keep, copy_at_send))
+            actions.append(CommitRelay(pid, keep))
         actions.extend(self._continue_sending(now))
         return actions
 

@@ -9,6 +9,7 @@ bytes are not encoded (content is modeled by ``size_bytes`` alone).
 from __future__ import annotations
 
 import struct
+import weakref
 from dataclasses import dataclass
 
 from .model import (
@@ -205,11 +206,35 @@ def _str_size(text: str) -> int:
     return 2 + len(text.encode("utf-8"))
 
 
+# Wire bytes of each cumulative ACK's id strings, per id set. The destination
+# hands out one frozenset until its next arrival and relays pass that same Ack
+# on, so a set is sized once however many handshakes carry it. The key is the
+# set's shared plain weakref, so a repeat lookup matches by identity (a
+# WeakKeyDictionary would compare the whole set on every hit); an equal but
+# distinct set still matches by equality. The finalizer drops the entry with
+# its set.
+_ACK_IDS_BYTES: dict[weakref.ref, int] = {}
+
+
+def _ack_ids_bytes(ids: frozenset[PayloadId]) -> int:
+    key = weakref.ref(ids)
+    size = _ACK_IDS_BYTES.get(key)
+    if size is None:
+        size = _ACK_IDS_BYTES[key] = sum(_str_size(p.canonical) for p in ids)
+        weakref.finalize(ids, _ACK_IDS_BYTES.pop, key, None)
+    return size
+
+
 def encoded_size(msg: ControlMessage) -> int:
-    """Byte length of encode(msg) without building the bytes (hot path)."""
+    """Byte length of encode(msg) without building the bytes (hot path).
+
+    An ACK's id list is sized once per id set and remembered until the set is
+    freed (``_ack_ids_bytes``): the same cumulative list is re-sent at every
+    handshake. Every other message is sized field by field.
+    """
     if isinstance(msg, AckMsg):
         n = 4 + _str_size(msg.ack.destination) + 8 + 4
-        return n + sum(_str_size(p.canonical) for p in msg.ack.delivered_ids)
+        return n + _ack_ids_bytes(msg.ack.delivered_ids)
     if isinstance(msg, InventoryMsg):
         return 4 + 4 + sum(_str_size(p.canonical) + 4 for p, _ in msg.entries)
     if isinstance(msg, RequestMsg):

@@ -55,6 +55,32 @@ def test_non_finite_config_exits_with_config_error(tmp_path, capsys):
     assert "bandwidth: not a finite number" in capsys.readouterr().err
 
 
+IMPOSSIBLE_SIZES = [
+    ("sizes.base_bytes_low = 0", "base_bytes_low"),
+    ("sizes.extraction_info_bytes = 0", "extraction_info_bytes"),
+    ("sizes.enhancement_ratio = -1", "enhancement_ratio"),
+    ("sizes.base_bytes_low = 1\nsizes.enhancement_ratio = 0.5", "enhancement layers"),
+]
+
+
+@pytest.mark.parametrize("text,message", IMPOSSIBLE_SIZES)
+def test_impossible_layer_sizes_reported_under_sizes(text, message):
+    config, issues = validate_config(text)
+    assert config is None
+    assert any(i.path == "sizes" and message in i.message for i in issues)
+
+
+@pytest.mark.parametrize("text,message", IMPOSSIBLE_SIZES)
+def test_impossible_layer_sizes_exit_with_config_error(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.conf"
+    bad.write_text(text + "\n")
+    assert main(["validate", "--config", str(bad)]) == EXIT_CONFIG
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "sizes: " in err and message in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_source_equals_destination_reported():
     _, issues = validate_config("source = x\ndestination = x")
     assert any("differ" in i.message for i in issues)

@@ -391,6 +391,29 @@ def test_scenario_validation_errors():
             Simulator(Scenario(**{**good, "bandwidth_bytes_per_sec": bandwidth}))
 
 
+@pytest.mark.parametrize("sizes", [
+    dict(base_bytes_low=0),
+    dict(extraction_info_bytes=0),
+    dict(enhancement_ratio=-1.0),
+    dict(enhancement_ratio=0.0),
+    dict(enhancement_ratio=float("nan")),
+    dict(enhancement_ratio=float("inf")),
+    dict(base_bytes_low=1, enhancement_ratio=0.5),  # enhancement layers of 0 bytes
+], ids=["base-0", "extraction-0", "ratio-negative", "ratio-0", "ratio-nan", "ratio-inf", "enhancement-0"])
+def test_impossible_layer_sizes_rejected_before_a_scenario_exists(sizes):
+    with pytest.raises(ValueError):
+        LayerSizeModel(**sizes)
+
+
+def test_smallest_possible_layer_sizes_run():
+    sizes = LayerSizeModel(base_bytes_low=1, enhancement_ratio=1.0, extraction_info_bytes=1)
+    scenario = chain_scenario("310 CONN a c up\n340 CONN a c down", duration=600,
+                              adaptation=AdaptationConfig(segment_period=300, initial_layers=2), sizes=sizes)
+    metrics = run(scenario, check_invariants=True)
+    assert metrics.delivered_full == 1
+    assert metrics.bytes_relayed == 3  # base, one enhancement layer, extraction info: 1 byte each
+
+
 def test_parse_mode():
     assert parse_mode("adaptive") == AdaptiveSvc()
     assert parse_mode("fixed:high") == FixedNonSvc("high")

@@ -1,10 +1,13 @@
+import gc
 import re
 import struct
+import weakref
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from oppvid import wire
 from oppvid.model import Ack, Payload, PayloadId, RelayMetadata
 from oppvid.wire import (
     AckMsg,
@@ -131,6 +134,43 @@ def test_decode_encode_round_trip(msg):
 @given(messages)
 def test_encoded_size_matches_encoding(msg):
     assert encoded_size(msg) == len(encode(msg))
+
+
+def _delivered(source: str, count: int) -> frozenset[PayloadId]:
+    return frozenset(PayloadId(source, i // 3, None if i % 3 == 2 else i % 3) for i in range(count))
+
+
+def test_ack_size_is_exact_for_equal_sets_and_decoded_acks():
+    ids = _delivered("nœud", 60)  # multi-byte UTF-8 in every id
+    twin = frozenset(list(ids))
+    assert twin == ids and twin is not ids
+    decoded = decode(encode(AckMsg(Ack("dst", 7, ids))))
+    assert decoded.ack.delivered_ids == ids and decoded.ack.delivered_ids is not ids
+    other = _delivered("x", 60)  # same count, fewer bytes
+    for msg in (AckMsg(Ack("dst", 7, ids)), AckMsg(Ack("dst", 9, twin)), decoded,
+                AckMsg(Ack("dst", 9, other)), AckMsg(Ack("dst", 7, ids))):
+        assert encoded_size(msg) == len(encode(msg))
+
+
+@given(st.frozensets(payload_ids, max_size=40), node_ids)
+def test_ack_size_is_exact_when_a_set_is_sized_again(ids, destination):
+    copy = frozenset(list(ids))
+    for delivered in (ids, ids, copy):
+        msg = AckMsg(Ack(destination, 1, delivered))
+        assert encoded_size(msg) == len(encode(msg))
+
+
+def test_ack_size_memo_lets_go_of_a_dropped_set():
+    gc.collect()
+    before = len(wire._ACK_IDS_BYTES)
+    ids = _delivered("gone", 30)
+    encoded_size(AckMsg(Ack("dst", 1, ids)))
+    assert len(wire._ACK_IDS_BYTES) == before + 1
+    probe = weakref.ref(ids)
+    del ids
+    gc.collect()
+    assert probe() is None
+    assert len(wire._ACK_IDS_BYTES) == before
 
 
 def test_transmission_size_charges_payload_content():
