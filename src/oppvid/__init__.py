@@ -5,7 +5,6 @@ from .destination import DestinationState, decodable_quality, generate_ack, inge
 from .model import Ack, Payload, PayloadId, RelayMetadata, SegmentRecord, parse_payload_id, render_payload_id
 from .protocol import (
     ConnectionEngine,
-    RecentContacts,
     build_send_queue,
     compute_request_list,
     merge_ack,

@@ -21,6 +21,7 @@ from .sim import Mode, RunMetrics, Scenario, ScenarioError, parse_mode, run
 from .trace import (
     ContactEvent,
     TraceError,
+    check_synthetic_trace,
     format_trace,
     generate_synthetic_trace,
     parse_trace,
@@ -129,8 +130,45 @@ def _parse_kv(text: str, issues: list[ConfigIssue]) -> dict[str, str]:
     return values
 
 
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"not an integer: {text!r}") from None
+
+
+def _number(text: str) -> float:
+    # Config text has no literal for a non-finite number.
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
+def _boolean(text: str) -> bool:
+    lowered = text.lower()
+    if lowered in ("true", "yes", "1"):
+        return True
+    if lowered in ("false", "no", "0"):
+        return False
+    raise ValueError(f"not a boolean: {text!r}")
+
+
+# Config keys of the ``Scenario`` and ``check_synthetic_trace`` fields named otherwise.
+_CONFIG_KEYS = {"bandwidth_bytes_per_sec": "bandwidth"} | {
+    p: f"trace.synthetic.{p}" for p in ("nodes", "mean_intercontact", "mean_contact_duration")
+}
+
+
 class _Fields:
-    """Typed accessors over the raw key/value map, collecting issues."""
+    """Typed accessors over the raw key/value map, collecting issues.
+
+    A value that does not parse is reported once, at its key, and comes back
+    as None; ``build`` then skips the constructor that needed it.
+    """
 
     def __init__(self, values: dict[str, str], issues: list[ConfigIssue]):
         self.values = values
@@ -139,162 +177,117 @@ class _Fields:
     def raw(self, key: str) -> str:
         return self.values.get(key, DEFAULTS[key])
 
-    def string(self, key: str) -> str:
-        return self.raw(key)
-
-    def integer(self, key: str) -> int:
+    def scalar(self, key: str, parse, text: str | None = None):
+        """``parse`` of ``text``, by default the key's value; None if it raised."""
         try:
-            return int(self.raw(key))
-        except ValueError:
-            self.issues.append(ConfigIssue(key, f"not an integer: {self.raw(key)!r}"))
-            return 0
-
-    def number(self, key: str) -> float:
-        try:
-            value = float(self.raw(key))
-        except ValueError:
-            self.issues.append(ConfigIssue(key, f"not a number: {self.raw(key)!r}"))
-            return 0.0
-        if not math.isfinite(value):
-            self.issues.append(ConfigIssue(key, f"not a finite number: {self.raw(key)!r}"))
-            return 0.0
-        return value
-
-    def boolean(self, key: str) -> bool:
-        raw = self.raw(key).lower()
-        if raw in ("true", "yes", "1"):
-            return True
-        if raw in ("false", "no", "0"):
-            return False
-        self.issues.append(ConfigIssue(key, f"not a boolean: {self.raw(key)!r}"))
-        return False
-
-    def int_list(self, key: str, fallback: list[int]) -> list[int]:
-        raw = self.raw(key)
-        if not raw:
-            return list(fallback)
-        out = []
-        for item in raw.split(","):
-            try:
-                out.append(int(item.strip()))
-            except ValueError:
-                self.issues.append(ConfigIssue(key, f"not an integer: {item.strip()!r}"))
-        return out
-
-    def mode(self, key: str) -> Mode:
-        try:
-            return parse_mode(self.raw(key))
-        except ScenarioError as exc:
+            return parse(self.raw(key) if text is None else text)
+        except ValueError as exc:
             self.issues.append(ConfigIssue(key, str(exc)))
-            return parse_mode("adaptive")
+            return None
 
-    def mode_list(self, key: str, fallback: list[Mode]) -> list[Mode]:
+    def items(self, key: str, parse) -> list | None:
+        """A comma-separated list, [] when empty; None if an item does not parse."""
         raw = self.raw(key)
         if not raw:
-            return list(fallback)
-        out = []
-        for item in raw.split(","):
-            try:
-                out.append(parse_mode(item.strip()))
-            except ScenarioError as exc:
-                self.issues.append(ConfigIssue(key, str(exc)))
-        return out
+            return []
+        out = [self.scalar(key, parse, item.strip()) for item in raw.split(",")]
+        return None if None in out else out
+
+    def build(self, path: str, make, **fields):
+        """``make(**fields)`` with its ValueError reported at ``path``; None if it
+        raised or a field did not parse."""
+        if None in fields.values():
+            return None
+        try:
+            return make(**fields)
+        except ValueError as exc:
+            self.issues.append(ConfigIssue(path, str(exc)))
+            return None
+
+
+def _removal_issues(key: str, counts: list[int]) -> list[ConfigIssue]:
+    """The removal counts ``remove_top_nodes`` rejects, reported at ``key``."""
+    issues = []
+    for k in counts:
+        try:
+            remove_top_nodes([], k, ())
+        except ValueError as exc:
+            issues.append(ConfigIssue(key, str(exc)))
+    return issues
 
 
 def validate_config(text: str) -> tuple[ExperimentConfig | None, list[ConfigIssue]]:
-    """Parse and cross-check a config; reports every problem, not just the first."""
+    """Parse a config and check it by the rules of its values' owners; reports
+    every problem, not just the first, once at its config key."""
     issues: list[ConfigIssue] = []
-    values = _parse_kv(text, issues)
-    f = _Fields(values, issues)
+    f = _Fields(_parse_kv(text, issues), issues)
 
-    source = f.string("source")
-    destination = f.string("destination")
-    ttl = f.integer("ttl")
-    bandwidth = f.number("bandwidth")
-    duration = f.integer("duration")
-    resolution = f.string("resolution")
-    mode = f.mode("mode")
-    seed = f.integer("seed")
-    ack_period = f.integer("ack_period")
-    output_dir = f.string("output_dir")
-    trace_file = f.string("trace.file") or None
-
+    source = f.raw("source")
+    destination = f.raw("destination")
+    resolution = f.raw("resolution")
+    ttl = f.scalar("ttl", _integer)
+    bandwidth = f.scalar("bandwidth", _number)
+    duration = f.scalar("duration", _integer)
+    mode = f.scalar("mode", parse_mode)
+    seed = f.scalar("seed", _integer)
+    ack_period = f.scalar("ack_period", _integer)
+    trace_file = f.raw("trace.file") or None
     synthetic = SyntheticTraceConfig(
-        nodes=f.integer("trace.synthetic.nodes"),
-        mean_intercontact=f.number("trace.synthetic.mean_intercontact"),
-        mean_contact_duration=f.number("trace.synthetic.mean_contact_duration"),
-        exclude_endpoint_contact=f.boolean("trace.synthetic.exclude_endpoint_contact"),
+        nodes=f.scalar("trace.synthetic.nodes", _integer),
+        mean_intercontact=f.scalar("trace.synthetic.mean_intercontact", _number),
+        mean_contact_duration=f.scalar("trace.synthetic.mean_contact_duration", _number),
+        exclude_endpoint_contact=f.scalar("trace.synthetic.exclude_endpoint_contact", _boolean),
     )
+    lookbacks = f.items("adaptation.lookbacks", _integer)
+    adaptation = f.build(
+        "adaptation", AdaptationConfig,
+        lookbacks=None if lookbacks is None else tuple(lookbacks),
+        max_layers=f.scalar("adaptation.max_layers", _integer),
+        initial_layers=f.scalar("adaptation.initial_layers", _integer),
+        initial_copy_count=f.scalar("adaptation.initial_copy_count", _integer),
+        segment_period=f.scalar("adaptation.segment_period", _integer),
+        mixed_policy=f.raw("adaptation.mixed_policy"),
+    )
+    sizes = f.build(
+        "sizes", LayerSizeModel,
+        base_bytes_low=f.scalar("sizes.base_bytes_low", _integer),
+        enhancement_ratio=f.scalar("sizes.enhancement_ratio", _number),
+        extraction_info_bytes=f.scalar("sizes.extraction_info_bytes", _integer),
+    )
+    ttl_values = f.items("sweep.ttl_values", _integer)
+    removal_counts = f.items("sweep.removal_counts", _integer)
+    modes = f.items("sweep.modes", parse_mode)
+    seeds = f.items("sweep.seeds", _integer)
 
-    lookbacks = tuple(f.int_list("adaptation.lookbacks", []))
-    adaptation = None
-    try:
-        adaptation = AdaptationConfig(
-            lookbacks=lookbacks,
-            max_layers=f.integer("adaptation.max_layers"),
-            initial_layers=f.integer("adaptation.initial_layers"),
-            initial_copy_count=f.integer("adaptation.initial_copy_count"),
-            segment_period=f.integer("adaptation.segment_period"),
-            mixed_policy=f.string("adaptation.mixed_policy"),
-        )
-    except ValueError as exc:
-        issues.append(ConfigIssue("adaptation", str(exc)))
+    # A probe scenario with no trace applies every Scenario rule but the
+    # endpoints-in-trace one, which needs the trace.
+    probe = dict(source=source, destination=destination, ttl=ttl, bandwidth_bytes_per_sec=bandwidth,
+                 duration=duration, resolution=resolution, ack_period=ack_period)
+    if None not in probe.values():
+        for ttl_key, ttl_value in [("ttl", ttl)] + [("sweep.ttl_values", t) for t in ttl_values or ()]:
+            keys = {**_CONFIG_KEYS, "ttl": ttl_key}
+            try:
+                Scenario(trace=(), **{**probe, "ttl": ttl_value})
+            except ScenarioError as exc:
+                issues.extend(ConfigIssue(keys.get(name, name), message) for name, message in exc.problems)
+    synthetic_params = (synthetic.nodes, duration,
+                        synthetic.mean_intercontact, synthetic.mean_contact_duration)
+    if not trace_file and None not in synthetic_params:
+        for param, message in check_synthetic_trace(*synthetic_params):
+            issues.append(ConfigIssue(_CONFIG_KEYS.get(param, param), message))
+    issues.extend(_removal_issues("sweep.removal_counts", removal_counts or []))
 
-    sizes = None
-    try:
-        sizes = LayerSizeModel(
-            base_bytes_low=f.integer("sizes.base_bytes_low"),
-            enhancement_ratio=f.number("sizes.enhancement_ratio"),
-            extraction_info_bytes=f.integer("sizes.extraction_info_bytes"),
-        )
-    except ValueError as exc:
-        issues.append(ConfigIssue("sizes", str(exc)))
-
-    ttl_values = f.int_list("sweep.ttl_values", [ttl])
-    removal_counts = f.int_list("sweep.removal_counts", [0])
-    modes = f.mode_list("sweep.modes", [mode])
-    seeds = f.int_list("sweep.seeds", [seed])
-
-    if not source:
-        issues.append(ConfigIssue("source", "must be non-empty"))
-    if source == destination:
-        issues.append(ConfigIssue("destination", "source and destination must differ"))
-    if ttl <= 0:
-        issues.append(ConfigIssue("ttl", "must be positive"))
-    if bandwidth <= 0:
-        issues.append(ConfigIssue("bandwidth", "bandwidth must be positive"))
-    if duration < 0:
-        issues.append(ConfigIssue("duration", "must be >= 0"))
-    if resolution not in ("low", "medium", "high"):
-        issues.append(ConfigIssue("resolution", f"unknown resolution class {resolution!r}"))
-    if ack_period <= 0:
-        issues.append(ConfigIssue("ack_period", "must be positive"))
-    if not trace_file:
-        if synthetic.nodes < 3:
-            issues.append(ConfigIssue("trace.synthetic.nodes", "need at least 3 nodes"))
-        if synthetic.mean_intercontact <= 0:
-            issues.append(ConfigIssue("trace.synthetic.mean_intercontact", "must be positive"))
-        if synthetic.mean_contact_duration <= 0:
-            issues.append(ConfigIssue("trace.synthetic.mean_contact_duration", "must be positive"))
-    for key, lst in (("sweep.ttl_values", ttl_values), ("sweep.removal_counts", removal_counts),
-                     ("sweep.modes", modes), ("sweep.seeds", seeds)):
-        if not lst:
-            issues.append(ConfigIssue(key, "sweep axis must be non-empty"))
-    if any(t <= 0 for t in ttl_values):
-        issues.append(ConfigIssue("sweep.ttl_values", "TTLs must be positive"))
-    if any(k < 0 for k in removal_counts):
-        issues.append(ConfigIssue("sweep.removal_counts", "removal counts must be >= 0"))
-
-    if issues or adaptation is None or sizes is None:
-        return None, issues
+    if issues:
+        # Owners can repeat a key's problem: the probe per ttl, both owners of duration.
+        return None, list(dict.fromkeys(issues))
     return (
         ExperimentConfig(
             source=source, destination=destination, ttl=ttl, bandwidth=bandwidth,
             duration=duration, resolution=resolution, mode=mode, seed=seed,
-            ack_period=ack_period, output_dir=output_dir, trace_file=trace_file,
+            ack_period=ack_period, output_dir=f.raw("output_dir"), trace_file=trace_file,
             synthetic=None if trace_file else synthetic, adaptation=adaptation,
-            sizes=sizes, ttl_values=ttl_values, removal_counts=removal_counts,
-            modes=modes, seeds=seeds,
+            sizes=sizes, ttl_values=ttl_values or [ttl], removal_counts=removal_counts or [0],
+            modes=modes or [mode], seeds=seeds or [seed],
         ),
         [],
     )
@@ -441,7 +434,8 @@ def _print_issues(issues: list[ConfigIssue]) -> None:
 
 def _cmd_run(args) -> int:
     config, issues = _load_config(args)
-    if config is None:
+    issues += _removal_issues("--removed", [args.removed])
+    if config is None or issues:
         _print_issues(issues)
         return EXIT_CONFIG
     config.ttl_values = [config.ttl]

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 
 class PayloadIdFormatError(ValueError):
@@ -16,11 +16,13 @@ class InvalidNodeIdError(ValueError):
 
 # Node ids are opaque strings, but "_s" is reserved as the id separator and
 # whitespace would break the trace/wire text forms.
-_NODE_ID_RE = re.compile(r"^\S+$")
+_NODE_ID_RE = re.compile(r"\S+")
 
 
+# Each contact event and payload id checks its node ids, and a run has few.
+@lru_cache(maxsize=1024)
 def validate_node_id(node_id: str) -> str:
-    if not node_id or not _NODE_ID_RE.match(node_id):
+    if not node_id or not _NODE_ID_RE.fullmatch(node_id):
         raise InvalidNodeIdError(f"node id must be non-empty without whitespace: {node_id!r}")
     if "_s" in node_id:
         raise InvalidNodeIdError(f"node id must not contain the reserved '_s' separator: {node_id!r}")

@@ -39,22 +39,10 @@ class AckDestinationMismatch(ValueError):
     """Two acknowledgments claim different destinations."""
 
 
-class RecentContacts:
-    """Times of the last graceful completion per peer (abrupt ends never recorded)."""
-
-    def __init__(self):
-        self._last: dict[str, float] = {}
-
-    def record_graceful(self, peer: str, now: float) -> None:
-        self._last[peer] = now
-
-    def last_graceful(self, peer: str) -> float | None:
-        return self._last.get(peer)
-
-
-def should_connect(peer: str, now: float, recent: RecentContacts) -> bool:
-    """False only while the suppression window after a graceful contact is open."""
-    last = recent.last_graceful(peer)
+def should_connect(peer: str, now: float, recent: dict[str, float]) -> bool:
+    """False only while the suppression window after a graceful contact is open.
+    ``recent`` maps peers to their last graceful completion (abrupt ends never count)."""
+    last = recent.get(peer)
     return last is None or now - last >= RECONNECT_SUPPRESSION_SECONDS
 
 
@@ -116,7 +104,6 @@ def split_copy_count(copy_count: int) -> tuple[int, int]:
 
 class Phase(Enum):
     DISCOVERY = "discovery"
-    CONNECTING = "connecting"  # physical setup; instantaneous in the simulator
     CONNECTED = "connected"
     TRANSFERRING = "transferring"
     DONE = "done"
@@ -249,7 +236,7 @@ class ConnectionEngine:
         raise ProtocolViolation(f"unexpected event {event!r}")
 
     def _on_connected(self, peer: str) -> list[Action]:
-        if self.state.phase not in (Phase.DISCOVERY, Phase.CONNECTING) or peer != self.peer:
+        if self.state.phase is not Phase.DISCOVERY or peer != self.peer:
             raise ProtocolViolation("connected() outside discovery")
         self.state.phase = Phase.CONNECTED
         return [

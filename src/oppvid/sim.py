@@ -26,7 +26,7 @@ from .adaptation import (
     record_transmission,
 )
 from .destination import DestinationState, IngestResult, decodable_quality, generate_ack, ingest
-from .model import Ack, Payload, PayloadId, RelayMetadata, SegmentRecord
+from .model import Ack, Payload, PayloadId, RelayMetadata, SegmentRecord, validate_node_id
 from .protocol import (
     AcceptPayload,
     Action,
@@ -37,7 +37,6 @@ from .protocol import (
     LinkDown,
     MessageReceived,
     Phase,
-    RecentContacts,
     SendMessage,
     TransferFinished,
     should_connect,
@@ -48,7 +47,12 @@ from .wire import PayloadMsg, RequestMsg, transmission_size
 
 
 class ScenarioError(ValueError):
-    """Scenario configuration that cannot be simulated."""
+    """Scenario configuration that cannot be simulated. ``problems`` holds the
+    (field, message) pair of each rule a ``Scenario`` broke when built."""
+
+    def __init__(self, message: str, problems: tuple[tuple[str, str], ...] = ()):
+        super().__init__(message)
+        self.problems = problems
 
 
 class InvariantViolationError(AssertionError):
@@ -71,8 +75,7 @@ class FixedNonSvc:
     resolution: str
 
     def __post_init__(self):
-        if self.resolution not in RESOLUTION_SCALE:
-            raise ScenarioError(f"unknown resolution class {self.resolution!r}")
+        _check_resolution(self.resolution)
 
     @property
     def label(self) -> str:
@@ -80,6 +83,11 @@ class FixedNonSvc:
 
 
 Mode = AdaptiveSvc | FixedNonSvc
+
+
+def _check_resolution(resolution: str) -> None:
+    if resolution not in RESOLUTION_SCALE:
+        raise ScenarioError(f"unknown resolution class {resolution!r}")
 
 
 def parse_mode(text: str) -> Mode:
@@ -92,6 +100,8 @@ def parse_mode(text: str) -> Mode:
 
 @dataclass(frozen=True)
 class Scenario:
+    """One run's inputs; building one that breaks a rule raises ``ScenarioError`` naming every broken rule."""
+
     trace: tuple[ContactEvent, ...]
     source: str
     destination: str
@@ -107,6 +117,32 @@ class Scenario:
 
     def __post_init__(self):
         object.__setattr__(self, "trace", tuple(self.trace))
+        problems = []
+        for name, check in (("source", validate_node_id), ("destination", validate_node_id),
+                            ("resolution", _check_resolution)):
+            try:
+                check(getattr(self, name))
+            except ValueError as exc:
+                problems.append((name, str(exc)))
+        if self.source == self.destination:
+            problems.append(("destination", "source and destination must differ"))
+        if not self.ttl > 0:
+            problems.append(("ttl", "must be positive"))
+        bandwidth = self.bandwidth_bytes_per_sec
+        if not (math.isfinite(bandwidth) and bandwidth > 0):
+            problems.append(("bandwidth_bytes_per_sec", f"must be positive and finite, got {bandwidth}"))
+        if not (math.isfinite(self.duration) and self.duration >= 0):
+            problems.append(("duration", "must be finite and >= 0"))
+        if not self.ack_period >= 1:
+            problems.append(("ack_period", "must be >= 1"))
+        if self.trace:
+            nodes = trace_nodes(self.trace)
+            for role in ("source", "destination"):
+                endpoint = getattr(self, role)
+                if endpoint not in nodes:
+                    problems.append((role, f"{role} {endpoint!r} never appears in the trace"))
+        if problems:
+            raise ScenarioError("; ".join(f"{name}: {text}" for name, text in problems), tuple(problems))
 
 
 @dataclass(frozen=True)
@@ -236,7 +272,6 @@ class Simulator:
         self.scenario = scenario
         self.check_invariants = check_invariants
         self.on_event = on_event
-        self._validate(scenario)
 
         nodes = sorted(trace_nodes(scenario.trace) | {scenario.source, scenario.destination})
         self.nodes = nodes
@@ -248,7 +283,7 @@ class Simulator:
         self.stores: dict[str, NodeStore] = {n: NodeStore(self._changes) for n in self.relay_nodes}
         self.dest_state = DestinationState()
         self.node_ack: dict[str, Ack] = {n: Ack.empty(scenario.destination) for n in nodes}
-        self.recents: dict[str, RecentContacts] = {n: RecentContacts() for n in nodes}
+        self.recents: dict[str, dict[str, float]] = {n: {} for n in nodes}
 
         self.conns: dict[int, _Connection] = {}
         self.conns_by_pair: dict[tuple[str, str], int] = {}
@@ -287,26 +322,6 @@ class Simulator:
         while t <= scenario.duration:
             self._push(float(t), _PRIO_ACK, "ack", (t,))
             t += scenario.ack_period
-
-    @staticmethod
-    def _validate(scenario: Scenario) -> None:
-        if scenario.source == scenario.destination:
-            raise ScenarioError("source and destination must differ")
-        if not (math.isfinite(scenario.bandwidth_bytes_per_sec) and scenario.bandwidth_bytes_per_sec > 0):
-            raise ScenarioError("bandwidth must be positive and finite")
-        if scenario.ttl <= 0:
-            raise ScenarioError("ttl must be positive")
-        if scenario.duration < 0:
-            raise ScenarioError("duration must be >= 0")
-        if scenario.ack_period < 1:
-            raise ScenarioError("ack_period must be >= 1")
-        if scenario.resolution not in RESOLUTION_SCALE:
-            raise ScenarioError(f"unknown resolution class {scenario.resolution!r}")
-        if scenario.trace:
-            nodes = trace_nodes(scenario.trace)
-            for endpoint, role in ((scenario.source, "source"), (scenario.destination, "destination")):
-                if endpoint not in nodes:
-                    raise ScenarioError(f"{role} {endpoint!r} never appears in the trace")
 
     # -- public API ----------------------------------------------------------
 
@@ -575,7 +590,7 @@ class Simulator:
             return
         if node not in conn.graceful_recorded:
             conn.graceful_recorded.add(node)
-            self.recents[node].record_graceful(conn.other(node), now)
+            self.recents[node][conn.other(node)] = now
         if all(e.state.phase is Phase.DONE and e.state.graceful for e in conn.engines.values()):
             self._close(conn)
 

@@ -40,8 +40,8 @@ class NodeStore:
     """Storage module of a single node.
 
     Expiry is lazy: nothing leaves the store except through explicit
-    ``expire(now)`` sweeps or ``apply_ack``. A duplicate insert keeps the
-    existing entry untouched (copy counts are never merged).
+    ``expire_entries(now)`` sweeps or ``apply_ack_entries``. A duplicate
+    insert keeps the existing entry untouched (copy counts are never merged).
 
     ``changes``, when given, is shared by every store of one checked world
     and records what each mutator changed; unchecked stores record nothing.
@@ -84,11 +84,8 @@ class NodeStore:
         heapq.heappush(self._expiry_heap, (expiry, entry.payload.id.canonical, entry.payload.id))
         return InsertResult.STORED
 
-    def expire(self, now: float) -> list[PayloadId]:
-        """Remove every entry whose TTL has elapsed; returns the removed ids."""
-        return [e.payload.id for e in self.expire_entries(now)]
-
     def expire_entries(self, now: float) -> list[StoredEntry]:
+        """Remove every entry whose TTL has elapsed; returns the removed entries."""
         changes = self._changes
         if changes is not None and now != self.last_sweep_at:
             changes.swept.add(self)
@@ -103,11 +100,8 @@ class NodeStore:
                     changes.ids.add(pid)
         return removed
 
-    def apply_ack(self, ack: Ack) -> list[PayloadId]:
-        """Drop every stored payload the destination has acknowledged."""
-        return [e.payload.id for e in self.apply_ack_entries(ack)]
-
     def apply_ack_entries(self, ack: Ack) -> list[StoredEntry]:
+        """Drop every stored payload the destination has acknowledged; returns their entries."""
         if not ack.delivered_ids:
             return []
         removed = [e for pid, e in self._entries.items() if pid in ack.delivered_ids]

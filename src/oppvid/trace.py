@@ -32,6 +32,13 @@ class ContactEvent:
     node_b: str
 
     def __post_init__(self):
+        if not 0 <= self.time < math.inf:
+            raise TraceError(f"non-finite or negative time {self.time!r}")
+        try:
+            validate_node_id(self.node_a)
+            validate_node_id(self.node_b)
+        except InvalidNodeIdError as exc:
+            raise TraceError(str(exc)) from exc
         if self.node_a == self.node_b:
             raise TraceError(f"self-contact for node {self.node_a!r} at t={self.time}")
         # Canonical pair order keeps pairing checks and tie-breaks stable.
@@ -81,16 +88,10 @@ def parse_trace(text: str) -> list[ContactEvent]:
             time = float(fields[0])
         except ValueError:
             raise TraceError(f"line {lineno}: bad time {fields[0]!r}") from None
-        if not math.isfinite(time):
-            raise TraceError(f"line {lineno}: non-finite time {fields[0]!r}")
-        if time < 0:
-            raise TraceError(f"line {lineno}: negative time {time}")
         try:
-            a = validate_node_id(fields[2])
-            b = validate_node_id(fields[3])
-        except InvalidNodeIdError as exc:
-            raise TraceError(f"line {lineno}: {exc}") from exc
-        events.append(ContactEvent(time, ContactKind(fields[4]), a, b))
+            events.append(ContactEvent(time, ContactKind(fields[4]), fields[2], fields[3]))
+        except TraceError as exc:
+            raise TraceError(f"line {lineno}: {exc}") from None
     _sort_events(events)
     _check_pairing(events)
     return events
@@ -122,8 +123,20 @@ def contact_counts(events: Iterable[ContactEvent]) -> dict[str, int]:
     return counts
 
 
-def synthetic_node_name(index: int) -> str:
-    return f"n{index:02d}"
+def check_synthetic_trace(nodes: int, duration: int, mean_intercontact: float,
+                          mean_contact_duration: float) -> list[tuple[str, str]]:
+    """The rules ``generate_synthetic_trace`` holds its parameters to, as
+    (parameter, message) pairs for each one broken; empty when all hold."""
+    problems = []
+    if nodes < 3:
+        problems.append(("nodes", f"need at least 3 nodes, got {nodes}"))
+    if not (math.isfinite(duration) and duration >= 0):
+        problems.append(("duration", "must be finite and >= 0"))
+    for param, mean in (("mean_intercontact", mean_intercontact),
+                        ("mean_contact_duration", mean_contact_duration)):
+        if not (math.isfinite(mean) and mean > 0):
+            problems.append((param, f"must be finite and positive, got {mean}"))
+    return problems
 
 
 def generate_synthetic_trace(
@@ -139,13 +152,12 @@ def generate_synthetic_trace(
     Node ids are n00, n01, ...; the same seed always yields the same trace.
     ``excluded_pairs`` never meet (e.g. far-apart static endpoints).
     """
-    if nodes < 3:
-        raise ValueError(f"need at least 3 nodes, got {nodes}")
-    if duration < 0 or mean_intercontact <= 0 or mean_contact_duration <= 0:
-        raise ValueError("duration must be >= 0 and means positive")
+    problems = check_synthetic_trace(nodes, duration, mean_intercontact, mean_contact_duration)
+    if problems:
+        raise ValueError("; ".join(f"{param}: {message}" for param, message in problems))
     excluded = {tuple(sorted(p)) for p in excluded_pairs}
     rng = random.Random(seed)
-    names = [synthetic_node_name(i) for i in range(nodes)]
+    names = [f"n{i:02d}" for i in range(nodes)]
     events: list[ContactEvent] = []
     for i in range(nodes):
         for j in range(i + 1, nodes):
@@ -174,7 +186,7 @@ def remove_top_nodes(
 ) -> list[ContactEvent]:
     """Drop the k most-contacted unprotected nodes and all their events."""
     if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+        raise ValueError(f"removal count must be >= 0, got {k}")
     if k == 0:
         return list(events)
     protected_set = set(protected)

@@ -16,7 +16,6 @@ from .model import (
     Ack,
     Payload,
     PayloadId,
-    PayloadIdFormatError,
     RelayMetadata,
     parse_payload_id,
 )
@@ -146,11 +145,7 @@ class _Reader:
         return self.take(self.u16()).decode("utf-8")
 
     def payload_id(self) -> PayloadId:
-        text = self.string()
-        try:
-            return parse_payload_id(text)
-        except PayloadIdFormatError as exc:
-            raise WireError(f"malformed payload id on wire: {exc}") from exc
+        return parse_payload_id(self.string())
 
     def done(self) -> None:
         if self.pos != len(self.buf):

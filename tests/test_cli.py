@@ -81,6 +81,56 @@ def test_impossible_layer_sizes_exit_with_config_error(tmp_path, capsys, text, m
     assert not (tmp_path / "o").exists()
 
 
+# Every key whose value is parsed (as an int, number, bool, int list or mode);
+# the others are taken as text.
+PARSED_KEYS = [
+    "ttl", "bandwidth", "duration", "mode", "seed", "ack_period",
+    "trace.synthetic.nodes", "trace.synthetic.mean_intercontact",
+    "trace.synthetic.mean_contact_duration", "trace.synthetic.exclude_endpoint_contact",
+    "adaptation.lookbacks", "adaptation.max_layers", "adaptation.initial_layers",
+    "adaptation.initial_copy_count", "adaptation.segment_period",
+    "sizes.base_bytes_low", "sizes.enhancement_ratio", "sizes.extraction_info_bytes",
+    "sweep.ttl_values", "sweep.removal_counts", "sweep.modes", "sweep.seeds",
+]
+NUMBER_KEYS = ["bandwidth", "trace.synthetic.mean_intercontact",
+               "trace.synthetic.mean_contact_duration", "sizes.enhancement_ratio"]
+
+
+def test_parsed_keys_cover_every_non_text_key():
+    text_keys = {"source", "destination", "resolution", "output_dir", "trace.file",
+                 "adaptation.mixed_policy"}
+    assert set(PARSED_KEYS) == set(DEFAULTS) - text_keys
+
+
+@pytest.mark.parametrize("text", [f"{key} = x" for key in PARSED_KEYS]
+                         + [f"{key} = nan" for key in NUMBER_KEYS])
+def test_unparsable_value_is_one_issue_at_its_key(text):
+    config, issues = validate_config(text)
+    assert config is None
+    assert [i.path for i in issues] == [text.split(" = ")[0]]
+
+
+def test_negative_removed_flag_is_config_error(tmp_path, capsys):
+    _, issues = validate_config("sweep.removal_counts = -1")
+    [issue] = issues
+    assert main(["run", "--removed", "-1", "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert f"config error: --removed: {issue.message}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flag", ["--mean-intercontact", "--mean-contact-duration"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_gen_trace_non_finite_mean_is_config_error(tmp_path, capsys, flag, value):
+    out = tmp_path / "t.txt"
+    assert main(["gen-trace", "--nodes", "4", "--duration", "1000", flag, value, "--out", str(out)]) == EXIT_CONFIG
+    assert f"must be finite and positive, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+    # The config path reports the same rule.
+    key = "trace.synthetic." + flag[2:].replace("-", "_")
+    _, issues = validate_config(f"{key} = 0")
+    assert [(i.path, i.message) for i in issues] == [(key, "must be finite and positive, got 0.0")]
+
+
 def test_source_equals_destination_reported():
     _, issues = validate_config("source = x\ndestination = x")
     assert any("differ" in i.message for i in issues)

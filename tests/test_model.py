@@ -50,7 +50,7 @@ def test_node_id_rejects_reserved_separator():
         validate_node_id("node_s1")
 
 
-@pytest.mark.parametrize("bad", ["", "a b", "a\tb", "x_split"])
+@pytest.mark.parametrize("bad", ["", "a b", "a\tb", "x_split", "a\n"])
 def test_node_id_rejects_bad_forms(bad):
     with pytest.raises(InvalidNodeIdError):
         validate_node_id(bad)

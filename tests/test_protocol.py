@@ -22,7 +22,6 @@ from oppvid.protocol import (
     LinkDown,
     MessageReceived,
     Phase,
-    RecentContacts,
     SendMessage,
     TransferFinished,
     build_send_queue,
@@ -67,24 +66,21 @@ def test_split_conserves_and_stays_positive(n):
 # -- should_connect -----------------------------------------------------------
 
 def test_recent_graceful_contact_suppresses():
-    recent = RecentContacts()
-    recent.record_graceful("peer", 1000.0)
+    recent = {"peer": 1000.0}
     assert should_connect("peer", 1200.0, recent) is False
 
 
 def test_old_graceful_contact_allows():
-    recent = RecentContacts()
-    recent.record_graceful("peer", 1000.0)
+    recent = {"peer": 1000.0}
     assert should_connect("peer", 1400.0, recent) is True
 
 
 def test_unknown_peer_allows():
-    assert should_connect("peer", 0.0, RecentContacts()) is True
+    assert should_connect("peer", 0.0, {}) is True
 
 
 def test_exactly_five_minutes_allows():
-    recent = RecentContacts()
-    recent.record_graceful("peer", 0.0)
+    recent = {"peer": 0.0}
     assert should_connect("peer", 300.0, recent) is True
 
 
@@ -240,7 +236,7 @@ class Link:
             elif isinstance(action, AdoptAck):
                 node.ack = action.ack
                 if not node.is_destination:
-                    node.store.apply_ack(action.ack)
+                    node.store.apply_ack_entries(action.ack)
             elif isinstance(action, AcceptPayload):
                 if node.is_destination:
                     node.received.add(action.payload.id)

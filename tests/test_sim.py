@@ -391,6 +391,29 @@ def test_scenario_validation_errors():
             Simulator(Scenario(**{**good, "bandwidth_bytes_per_sec": bandwidth}))
 
 
+API_SCENARIO = dict(trace=(), source="a", destination="b", ttl=100, bandwidth_bytes_per_sec=1.0, duration=100)
+
+
+@pytest.mark.parametrize("bad,field", [
+    (dict(ttl=0), "ttl"),
+    (dict(bandwidth_bytes_per_sec=float("nan")), "bandwidth_bytes_per_sec"),
+    (dict(destination="a"), "destination"),
+    (dict(source="a_sb"), "source"),
+], ids=["ttl-0", "bandwidth-nan", "source-is-destination", "reserved-source-id"])
+def test_scenario_rejects_a_bad_field_when_built(bad, field):
+    with pytest.raises(ScenarioError) as info:
+        Scenario(**{**API_SCENARIO, **bad})
+    assert [name for name, _ in info.value.problems] == [field]
+
+
+def test_scenario_error_names_every_broken_rule():
+    with pytest.raises(ScenarioError) as info:
+        Scenario(**{**API_SCENARIO, "ttl": 0, "duration": -1, "ack_period": 0})
+    assert [name for name, _ in info.value.problems] == ["ttl", "duration", "ack_period"]
+    for name in ("ttl", "duration", "ack_period"):
+        assert f"{name}: " in str(info.value)
+
+
 @pytest.mark.parametrize("sizes", [
     dict(base_bytes_low=0),
     dict(extraction_info_bytes=0),

@@ -40,7 +40,7 @@ def test_expire_removes_only_elapsed():
     p2 = entry(segment=2, created_at=0, ttl=200)
     store.insert(p1, now=0)
     store.insert(p2, now=0)
-    assert store.expire(now=150) == [p1.payload.id]
+    assert [e.payload.id for e in store.expire_entries(now=150)] == [p1.payload.id]
     assert store.ids() == {p2.payload.id}
 
 
@@ -48,7 +48,7 @@ def test_expire_nothing_before_deadlines():
     store = NodeStore()
     store.insert(entry(segment=1, ttl=100), now=0)
     store.insert(entry(segment=2, ttl=200), now=0)
-    assert store.expire(now=50) == []
+    assert store.expire_entries(now=50) == []
 
 
 def test_expire_everything_after_deadlines():
@@ -57,7 +57,7 @@ def test_expire_everything_after_deadlines():
     p2 = entry(segment=2, ttl=200)
     store.insert(p1, now=0)
     store.insert(p2, now=0)
-    assert sorted(store.expire(now=250), key=str) == sorted([p1.payload.id, p2.payload.id], key=str)
+    assert sorted((e.payload.id for e in store.expire_entries(now=250)), key=str) == sorted([p1.payload.id, p2.payload.id], key=str)
     assert len(store) == 0
 
 
@@ -67,21 +67,21 @@ def test_apply_ack_removes_only_acked():
     store.insert(p1, now=0)
     store.insert(p2, now=0)
     ack = Ack("dst", 100, frozenset({p2.payload.id, pid("n9", 9, 9)}))
-    assert store.apply_ack(ack) == [p2.payload.id]
+    assert [e.payload.id for e in store.apply_ack_entries(ack)] == [p2.payload.id]
     assert store.ids() == {p1.payload.id}
 
 
 def test_apply_empty_ack_is_identity():
     store = NodeStore()
     store.insert(entry(), now=0)
-    assert store.apply_ack(Ack.empty("dst")) == []
+    assert store.apply_ack_entries(Ack.empty("dst")) == []
     assert len(store) == 1
 
 
 def test_apply_ack_on_empty_store():
     store = NodeStore()
     ack = Ack("dst", 100, frozenset({pid()}))
-    assert store.apply_ack(ack) == []
+    assert store.apply_ack_entries(ack) == []
 
 
 def test_inventory_sorted_by_copy_count_then_id():
@@ -131,7 +131,7 @@ def test_acked_id_never_listed_after_apply():
     store = NodeStore()
     e = entry()
     store.insert(e, now=0)
-    store.apply_ack(Ack("dst", 5, frozenset({e.payload.id})))
+    store.apply_ack_entries(Ack("dst", 5, frozenset({e.payload.id})))
     assert all(i != e.payload.id for i, _ in store.inventory())
 
 
@@ -146,6 +146,6 @@ def test_no_expired_entry_survives_a_sweep(specs, sweep_time):
     store = NodeStore()
     for segment, ttl, copies in specs:
         store.insert(entry(segment=segment, ttl=ttl, copies=copies), now=0)
-    store.expire(sweep_time)
+    store.expire_entries(sweep_time)
     for e in store.entries():
         assert not e.payload.expired(sweep_time)

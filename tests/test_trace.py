@@ -4,6 +4,7 @@ from oppvid.trace import (
     ContactEvent,
     ContactKind,
     TraceError,
+    check_synthetic_trace,
     contact_counts,
     format_trace,
     generate_synthetic_trace,
@@ -46,6 +47,24 @@ def test_bad_time_reports_line_number():
 def test_non_finite_time_reports_line_number(time):
     with pytest.raises(TraceError, match="line 2: non-finite"):
         parse_trace(f"10 CONN a b up\n{time} CONN a b down")
+
+
+@pytest.mark.parametrize("line", ["-5 CONN a b up", "10 CONN a_sb b up", "10 CONN a a up"],
+                         ids=["negative-time", "reserved-node-id", "self-contact"])
+def test_event_rule_failures_report_line_number(line):
+    with pytest.raises(TraceError, match="line 2: "):
+        parse_trace(f"# header\n{line}")
+
+
+@pytest.mark.parametrize("time,a,b", [
+    (float("nan"), "a", "b"),
+    (float("inf"), "a", "b"),
+    (-1, "a", "b"),
+    (10, "a b", "c"),
+], ids=["nan", "inf", "negative", "whitespace-node"])
+def test_contact_event_rejects_bad_values_when_built(time, a, b):
+    with pytest.raises(TraceError):
+        ContactEvent(time, ContactKind.UP, a, b)
 
 
 def test_nested_up_rejected():
@@ -119,6 +138,14 @@ def test_excluded_pair_never_meets():
 def test_too_few_nodes_rejected():
     with pytest.raises(ValueError):
         generate_synthetic_trace(2, 1000, 100, 10, seed=0)
+
+
+@pytest.mark.parametrize("mean", [float("nan"), float("inf"), 0.0])
+def test_non_finite_or_zero_means_rejected(mean):
+    assert check_synthetic_trace(5, 1000, mean, 10) == [
+        ("mean_intercontact", f"must be finite and positive, got {mean}")]
+    with pytest.raises(ValueError, match="mean_contact_duration: must be finite and positive"):
+        generate_synthetic_trace(5, 1000, 100, mean, seed=0)
 
 
 def _trace_with_counts():

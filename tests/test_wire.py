@@ -193,7 +193,8 @@ def _payload_frame(size_bytes: int, copy_count: int) -> bytes:
     _payload_frame(size_bytes=0, copy_count=1),
     _payload_frame(size_bytes=1, copy_count=0),
     struct.pack(">I", 1) + _str(b"a b") + struct.pack(">QI", 0, 0),  # bad ACK destination
-], ids=["utf8", "size-0", "copy-count-0", "ack-destination"])
+    struct.pack(">II", 3, 1) + _str(b"a_s0_Q1"),  # malformed payload id in a REQUEST
+], ids=["utf8", "size-0", "copy-count-0", "ack-destination", "payload-id"])
 def test_invalid_fields_raise_wire_error(frame):
     with pytest.raises(WireError):
         decode(frame)
