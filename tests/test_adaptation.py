@@ -5,6 +5,7 @@ from oppvid.adaptation import (
     AdaptationConfig,
     DuplicateSegmentError,
     LayerSizeModel,
+    _probe,
     package_segment,
     plan_layers,
     record_transmission,
@@ -206,6 +207,44 @@ def test_duplicate_segment_rejected():
 
 def test_append_to_empty_history():
     assert [r.segment_index for r in record_transmission(_record(5, 10), [])] == [5]
+
+
+def test_out_of_order_record_lands_in_time_order():
+    history = []
+    for seg, t in ((0, 10), (1, 30), (2, 20), (3, 5)):
+        record_transmission(_record(seg, t), history)
+    assert [r.segment_index for r in history] == [3, 0, 2, 1]
+
+
+def test_equal_times_keep_insertion_order():
+    history = []
+    for seg, t in ((0, 10), (1, 20), (2, 10), (3, 20), (4, 10)):
+        record_transmission(_record(seg, t), history)
+    assert [r.segment_index for r in history] == [0, 2, 4, 1, 3]
+
+
+def test_duplicate_rejected_after_out_of_order_record():
+    history = []
+    record_transmission(_record(0, 30), history)
+    record_transmission(_record(1, 10), history)
+    with pytest.raises(DuplicateSegmentError):
+        record_transmission(_record(0, 20), history)
+    assert [r.segment_index for r in history] == [1, 0]
+
+
+def _linear_probe(history, cutoff):
+    """The lookback probe as a plain walk: the last record at or before the cutoff."""
+    candidate = None
+    for record in history:
+        if record.transmitted_at > cutoff:
+            break
+        candidate = record
+    return candidate
+
+
+@given(histories(), st.one_of(st.integers(-10, 210_000), st.floats(-10, 210_000, allow_nan=False)))
+def test_probe_matches_a_linear_walk(history, cutoff):
+    assert _probe(history, cutoff) is _linear_probe(history, cutoff)
 
 
 def test_config_validation():
