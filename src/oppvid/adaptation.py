@@ -9,7 +9,10 @@ allowed range, multiplicative decrease above it.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right, insort_right
+from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .model import Ack, Payload, PayloadId, RelayMetadata, SegmentRecord
 
@@ -18,6 +21,21 @@ RESOLUTION_SCALE = {"low": 1, "medium": 4, "high": 16}
 
 class DuplicateSegmentError(ValueError):
     """A segment index was recorded twice."""
+
+
+_transmitted_at = attrgetter("transmitted_at")
+
+
+class SegmentHistory(list):
+    """The source's segment records in transmission-time order, plus the set
+    of their segment indices. Records enter through ``record_transmission``;
+    being a ``list``, it reads like any other time-sorted sequence."""
+
+    __slots__ = ("indices",)
+
+    def __init__(self):
+        super().__init__()
+        self.indices: set[int] = set()
 
 
 @dataclass(frozen=True)
@@ -82,19 +100,14 @@ class AdaptationConfig:
             raise ValueError(f"unknown mixed_policy {self.mixed_policy!r}")
 
 
-def _probe(history: list[SegmentRecord], cutoff: float) -> SegmentRecord | None:
-    """Most recent record transmitted at or before the cutoff."""
-    candidate = None
-    for record in history:
-        if record.transmitted_at <= cutoff:
-            candidate = record
-        else:
-            break
-    return candidate
+def _probe(history: Sequence[SegmentRecord], cutoff: float) -> SegmentRecord | None:
+    """Most recent record transmitted at or before the cutoff, in a time-sorted history."""
+    i = bisect_right(history, cutoff, key=_transmitted_at)
+    return history[i - 1] if i else None
 
 
 def plan_layers(
-    history: list[SegmentRecord],
+    history: Sequence[SegmentRecord],
     ack: Ack | None,
     now: float,
     current_layers: int,
@@ -151,10 +164,11 @@ def package_segment(
     return record, out
 
 
-def record_transmission(record: SegmentRecord, history: list[SegmentRecord]) -> list[SegmentRecord]:
-    """Append-only history ordered by transmission time."""
-    if any(r.segment_index == record.segment_index for r in history):
+def record_transmission(record: SegmentRecord, history: SegmentHistory) -> SegmentHistory:
+    """Add a record after every record transmitted at or before it, in O(log n)
+    comparisons; a segment index already recorded raises ``DuplicateSegmentError``."""
+    if record.segment_index in history.indices:
         raise DuplicateSegmentError(f"segment {record.segment_index} already recorded")
-    history.append(record)
-    history.sort(key=lambda r: r.transmitted_at)
+    history.indices.add(record.segment_index)
+    insort_right(history, record, key=_transmitted_at)
     return history

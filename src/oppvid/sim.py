@@ -14,19 +14,21 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .adaptation import (
     AdaptationConfig,
     LayerSizeModel,
     RESOLUTION_SCALE,
+    SegmentHistory,
     package_segment,
     plan_layers,
     record_transmission,
 )
 from .destination import DestinationState, IngestResult, decodable_quality, generate_ack, ingest
-from .model import Ack, Payload, PayloadId, RelayMetadata, SegmentRecord, validate_node_id
+from .model import Ack, Payload, PayloadId, RelayMetadata, validate_node_id
 from .protocol import (
     AcceptPayload,
     Action,
@@ -100,7 +102,10 @@ def parse_mode(text: str) -> Mode:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One run's inputs; building one that breaks a rule raises ``ScenarioError`` naming every broken rule."""
+    """One run's inputs; building one that breaks a rule raises ``ScenarioError`` naming every broken rule.
+
+    ``nodes`` is every node the trace names, derived once when it is built.
+    """
 
     trace: tuple[ContactEvent, ...]
     source: str
@@ -114,9 +119,11 @@ class Scenario:
     resolution: str = "low"
     ack_period: int = 300
     sizes: LayerSizeModel = LayerSizeModel()
+    nodes: frozenset[str] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "trace", tuple(self.trace))
+        object.__setattr__(self, "nodes", frozenset(trace_nodes(self.trace)))
         problems = []
         for name, check in (("source", validate_node_id), ("destination", validate_node_id),
                             ("resolution", _check_resolution)):
@@ -126,20 +133,19 @@ class Scenario:
                 problems.append((name, str(exc)))
         if self.source == self.destination:
             problems.append(("destination", "source and destination must differ"))
-        if not self.ttl > 0:
-            problems.append(("ttl", "must be positive"))
         bandwidth = self.bandwidth_bytes_per_sec
         if not (math.isfinite(bandwidth) and bandwidth > 0):
             problems.append(("bandwidth_bytes_per_sec", f"must be positive and finite, got {bandwidth}"))
-        if not (math.isfinite(self.duration) and self.duration >= 0):
-            problems.append(("duration", "must be finite and >= 0"))
-        if not self.ack_period >= 1:
-            problems.append(("ack_period", "must be >= 1"))
-        if self.trace:
-            nodes = trace_nodes(self.trace)
+        for name, low in (("ttl", 1), ("duration", 0), ("ack_period", 1), ("seed", None)):
+            value = getattr(self, name)
+            if not isinstance(value, int):
+                problems.append((name, f"must be an int, got {value!r}"))
+            elif low is not None and value < low:
+                problems.append((name, f"must be >= {low}, got {value}"))
+        if self.nodes:
             for role in ("source", "destination"):
                 endpoint = getattr(self, role)
-                if endpoint not in nodes:
+                if endpoint not in self.nodes:
                     problems.append((role, f"{role} {endpoint!r} never appears in the trace"))
         if problems:
             raise ScenarioError("; ".join(f"{name}: {text}" for name, text in problems), tuple(problems))
@@ -214,11 +220,17 @@ class _Connection:
 
 
 class _NodeView:
-    """Engine-facing read access to one node's slice of the world."""
+    """Engine-facing read access to one node's slice of the world.
 
-    def __init__(self, sim: Simulator, node: str, conn: _Connection):
-        self._sim = sim
-        self._conn = conn
+    It holds the simulator weakly and its connection by id: the simulator
+    holds its open connections and they hold their engines and views, so a
+    strong reference back would leave every finished world to the cyclic
+    garbage collector.
+    """
+
+    def __init__(self, sim: Simulator, node: str, conn_id: int):
+        self._sim = weakref.proxy(sim)
+        self._conn_id = conn_id
         self.node_id = node
         self.destination_id = sim.scenario.destination
 
@@ -238,7 +250,7 @@ class _NodeView:
     def pending_inbound_ids(self) -> set[PayloadId]:
         out: set[PayloadId] = set()
         for conn in self._sim.conns.values():
-            if conn is not self._conn and self.node_id in conn.pending:
+            if conn.conn_id != self._conn_id and self.node_id in conn.pending:
                 out |= conn.pending[self.node_id]
         return out
 
@@ -273,7 +285,7 @@ class Simulator:
         self.check_invariants = check_invariants
         self.on_event = on_event
 
-        nodes = sorted(trace_nodes(scenario.trace) | {scenario.source, scenario.destination})
+        nodes = sorted(scenario.nodes | {scenario.source, scenario.destination})
         self.nodes = nodes
         self.relay_nodes = [n for n in nodes if n != scenario.destination]
         # Checked runs share one change log with every store; _check_changes
@@ -298,7 +310,7 @@ class Simulator:
         self.lost_copies: dict[PayloadId, int] = {}
 
         self.segment_infos: dict[int, _SegmentInfo] = {}
-        self.history: list[SegmentRecord] = []
+        self.history = SegmentHistory()
         self.current_layers = scenario.adaptation.initial_layers
         self.relay_transmissions = 0
         self.bytes_relayed = 0
@@ -395,7 +407,7 @@ class Simulator:
         initiator = min(a, b)
         for node in (a, b):
             conn.engines[node] = ConnectionEngine(
-                _NodeView(self, node, conn), peer=conn.other(node), is_initiator=node == initiator
+                _NodeView(self, node, conn.conn_id), peer=conn.other(node), is_initiator=node == initiator
             )
         self.conns[conn.conn_id] = conn
         self.conns_by_pair[(a, b)] = conn.conn_id

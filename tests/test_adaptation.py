@@ -5,6 +5,7 @@ from oppvid.adaptation import (
     AdaptationConfig,
     DuplicateSegmentError,
     LayerSizeModel,
+    SegmentHistory,
     _probe,
     package_segment,
     plan_layers,
@@ -194,37 +195,37 @@ def _record(seg, t):
 
 
 def test_history_appends_in_time_order():
-    history = record_transmission(_record(0, 10), [])
+    history = record_transmission(_record(0, 10), SegmentHistory())
     record_transmission(_record(1, 20), history)
     assert [r.segment_index for r in history] == [0, 1]
 
 
 def test_duplicate_segment_rejected():
-    history = record_transmission(_record(0, 10), [])
+    history = record_transmission(_record(0, 10), SegmentHistory())
     with pytest.raises(DuplicateSegmentError):
         record_transmission(_record(0, 30), history)
 
 
 def test_append_to_empty_history():
-    assert [r.segment_index for r in record_transmission(_record(5, 10), [])] == [5]
+    assert [r.segment_index for r in record_transmission(_record(5, 10), SegmentHistory())] == [5]
 
 
 def test_out_of_order_record_lands_in_time_order():
-    history = []
+    history = SegmentHistory()
     for seg, t in ((0, 10), (1, 30), (2, 20), (3, 5)):
         record_transmission(_record(seg, t), history)
     assert [r.segment_index for r in history] == [3, 0, 2, 1]
 
 
 def test_equal_times_keep_insertion_order():
-    history = []
+    history = SegmentHistory()
     for seg, t in ((0, 10), (1, 20), (2, 10), (3, 20), (4, 10)):
         record_transmission(_record(seg, t), history)
     assert [r.segment_index for r in history] == [0, 2, 4, 1, 3]
 
 
 def test_duplicate_rejected_after_out_of_order_record():
-    history = []
+    history = SegmentHistory()
     record_transmission(_record(0, 30), history)
     record_transmission(_record(1, 10), history)
     with pytest.raises(DuplicateSegmentError):

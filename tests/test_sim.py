@@ -7,7 +7,9 @@ hop starts at t=1000.000057 and takes 2.000054 s, landing at t=1002.000111.
 """
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 
 import pytest
 from conftest import random_scenario
@@ -26,7 +28,7 @@ from oppvid.sim import (
     verify_global_invariants,
 )
 from oppvid.store import StoredEntry
-from oppvid.trace import generate_synthetic_trace, parse_trace
+from oppvid.trace import generate_synthetic_trace, parse_trace, trace_nodes
 from oppvid.wire import AckMsg
 
 NO_SEGMENTS = AdaptationConfig(segment_period=10_000_000)
@@ -399,7 +401,14 @@ API_SCENARIO = dict(trace=(), source="a", destination="b", ttl=100, bandwidth_by
     (dict(bandwidth_bytes_per_sec=float("nan")), "bandwidth_bytes_per_sec"),
     (dict(destination="a"), "destination"),
     (dict(source="a_sb"), "source"),
-], ids=["ttl-0", "bandwidth-nan", "source-is-destination", "reserved-source-id"])
+    (dict(ttl=float("nan")), "ttl"),
+    (dict(ttl=float("inf")), "ttl"),
+    (dict(ttl=100.5), "ttl"),
+    (dict(duration=100.0), "duration"),
+    (dict(ack_period=300.0), "ack_period"),
+    (dict(seed=0.5), "seed"),
+], ids=["ttl-0", "bandwidth-nan", "source-is-destination", "reserved-source-id",
+        "ttl-nan", "ttl-inf", "ttl-float", "duration-float", "ack_period-float", "seed-float"])
 def test_scenario_rejects_a_bad_field_when_built(bad, field):
     with pytest.raises(ScenarioError) as info:
         Scenario(**{**API_SCENARIO, **bad})
@@ -412,6 +421,14 @@ def test_scenario_error_names_every_broken_rule():
     assert [name for name, _ in info.value.problems] == ["ttl", "duration", "ack_period"]
     for name in ("ttl", "duration", "ack_period"):
         assert f"{name}: " in str(info.value)
+
+
+def test_scenario_nodes_are_derived_and_stay_out_of_equality_and_repr():
+    trace = tuple(parse_trace("10 CONN a b up\n20 CONN a b down\n30 CONN b c up"))
+    scenario = Scenario(**{**API_SCENARIO, "trace": trace})
+    assert scenario.nodes == trace_nodes(trace) == {"a", "b", "c"}
+    assert "nodes" not in repr(scenario)
+    assert scenario == Scenario(**{**API_SCENARIO, "trace": trace})
 
 
 @pytest.mark.parametrize("sizes", [
@@ -444,3 +461,23 @@ def test_parse_mode():
         parse_mode("fixed:ultra")
     with pytest.raises(ScenarioError):
         parse_mode("svc")
+
+
+@pytest.mark.parametrize("make", [
+    # a 2 MB transfer at 1 kB/s is still in flight when the run ends
+    lambda: seeded_sim(chain_scenario("10 CONN a b up\n900 CONN a b down\n950 CONN b c up",
+                                      duration=100, bandwidth_bytes_per_sec=1000))[0],
+    lambda: Simulator(random_scenario(3), check_invariants=True),
+], ids=["connection-open-at-end", "random-checked"])
+def test_finished_world_is_freed_without_the_cyclic_collector(make):
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        sim = make()
+        sim.run()
+        ref = weakref.ref(sim)
+        del sim
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
