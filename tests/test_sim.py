@@ -471,6 +471,7 @@ def test_parse_mode():
 ], ids=["connection-open-at-end", "random-checked"])
 def test_finished_world_is_freed_without_the_cyclic_collector(make):
     enabled = gc.isenabled()
+    gc.collect()
     gc.disable()
     try:
         sim = make()
@@ -478,6 +479,7 @@ def test_finished_world_is_freed_without_the_cyclic_collector(make):
         ref = weakref.ref(sim)
         del sim
         assert ref() is None
+        assert gc.collect() == 0  # no connection, engine or view was left in a cycle
     finally:
         if enabled:
             gc.enable()
