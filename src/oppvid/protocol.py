@@ -16,7 +16,7 @@ ends gracefully only when both sides have sent and received COMPLETE.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Protocol
 
@@ -46,15 +46,13 @@ def should_connect(peer: str, now: float, recent: dict[str, float]) -> bool:
     return last is None or now - last >= RECONNECT_SUPPRESSION_SECONDS
 
 
-def merge_ack(local: Ack | None, remote: Ack | None) -> tuple[Ack | None, bool]:
+def merge_ack(local: Ack, remote: Ack) -> tuple[Ack, bool]:
     """Keep the strictly newer acknowledgment; ties keep the local one."""
-    if local is not None and remote is not None and local.destination != remote.destination:
+    if local.destination != remote.destination:
         raise AckDestinationMismatch(
             f"acks from different destinations: {local.destination!r} vs {remote.destination!r}"
         )
-    if remote is None:
-        return local, False
-    if local is None or remote.timestamp > local.timestamp:
+    if remote.timestamp > local.timestamp:
         return remote, True
     return local, False
 
@@ -109,33 +107,35 @@ class Phase(Enum):
     DONE = "done"
 
 
-@dataclass
 class ConnectionState:
-    phase: Phase = Phase.DISCOVERY
-    sent_complete: bool = False
-    received_complete: bool = False
-    send_queue: list[PayloadId] = field(default_factory=list)
-    graceful: bool = False
+    """One engine's progress through its connection, read on every step."""
+
+    __slots__ = ("phase", "sent_complete", "received_complete", "send_queue", "graceful")
+
+    def __init__(self):
+        self.phase = Phase.DISCOVERY
+        self.sent_complete = self.received_complete = self.graceful = False
+        self.send_queue: list[PayloadId] = []
 
 
 # -- events -----------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Connected:
     peer: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MessageReceived:
     msg: ControlMessage
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransferFinished:
     payload_id: PayloadId
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinkDown:
     pass
 
@@ -145,23 +145,23 @@ Event = Connected | MessageReceived | TransferFinished | LinkDown
 
 # -- actions ----------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SendMessage:
     msg: ControlMessage
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AdoptAck:
     ack: Ack
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AcceptPayload:
     payload: Payload
     meta: RelayMetadata
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CommitRelay:
     """Sender keeps its halved share after a successful relay transfer."""
 
@@ -204,36 +204,28 @@ class ConnectionEngine:
         self._got_peer_request = False
         self._inflight: tuple[PayloadId, int] | None = None
         self.violation: ProtocolViolation | None = None
-
-    @property
-    def peer_is_destination(self) -> bool:
-        return self.peer == self.view.destination_id
-
-    @property
-    def am_destination(self) -> bool:
-        return self.view.node_id == self.view.destination_id
+        self.peer_is_destination = peer == view.destination_id
+        self.am_destination = view.node_id == view.destination_id
 
     def step(self, event: Event, now: float) -> list[Action]:
         if self.state.phase is Phase.DONE:
             return []
+        kind = type(event)
         try:
-            return self._dispatch(event, now)
+            if kind is MessageReceived:
+                return self._on_message(event.msg, now)
+            if kind is Connected:
+                return self._on_connected(event.peer)
+            if kind is TransferFinished:
+                return self._on_transfer_finished(event.payload_id, now)
+            if kind is LinkDown:
+                self._finish(graceful=False)
+                return []
+            raise ProtocolViolation(f"unexpected event {event!r}")
         except ProtocolViolation as exc:
             self.violation = exc
             self._finish(graceful=False)
             return []
-
-    def _dispatch(self, event: Event, now: float) -> list[Action]:
-        if isinstance(event, Connected):
-            return self._on_connected(event.peer)
-        if isinstance(event, LinkDown):
-            self._finish(graceful=False)
-            return []
-        if isinstance(event, TransferFinished):
-            return self._on_transfer_finished(event.payload_id, now)
-        if isinstance(event, MessageReceived):
-            return self._on_message(event.msg, now)
-        raise ProtocolViolation(f"unexpected event {event!r}")
 
     def _on_connected(self, peer: str) -> list[Action]:
         if self.state.phase is not Phase.DISCOVERY or peer != self.peer:
@@ -245,9 +237,10 @@ class ConnectionEngine:
         ]
 
     def _on_message(self, msg: ControlMessage, now: float) -> list[Action]:
-        if self.state.phase not in (Phase.CONNECTED, Phase.TRANSFERRING):
+        if self.state.phase is Phase.DISCOVERY:  # step() already turned DONE away
             raise ProtocolViolation(f"message {type(msg).__name__} before connection")
-        if isinstance(msg, AckMsg):
+        kind = type(msg)
+        if kind is AckMsg:
             if self._got_peer_ack:
                 raise ProtocolViolation("second ACK in one connection")
             self._got_peer_ack = True
@@ -256,7 +249,7 @@ class ConnectionEngine:
             except AckDestinationMismatch as exc:
                 raise ProtocolViolation(str(exc)) from exc
             return [AdoptAck(merged)] if changed else []
-        if isinstance(msg, InventoryMsg):
+        if kind is InventoryMsg:
             if not self._got_peer_ack or self._got_peer_inventory:
                 raise ProtocolViolation("INVENTORY out of order")
             self._got_peer_inventory = True
@@ -269,7 +262,7 @@ class ConnectionEngine:
             actions: list[Action] = [SendMessage(RequestMsg(wanted))]
             actions.extend(self._maybe_start_turn(now))
             return actions
-        if isinstance(msg, RequestMsg):
+        if kind is RequestMsg:
             if not self._got_peer_inventory or self._got_peer_request:
                 raise ProtocolViolation("REQUEST out of order")
             self._got_peer_request = True
@@ -277,17 +270,17 @@ class ConnectionEngine:
                 list(msg.ids), self.view.inventory(), self.peer_is_destination
             )
             return self._maybe_start_turn(now)
-        if isinstance(msg, PayloadMsg):
-            if not self._got_peer_request:
-                raise ProtocolViolation("PAYLOAD before request exchange")
-            return [AcceptPayload(msg.payload, msg.meta_for_receiver)]
-        if isinstance(msg, CompleteMsg):
+        if kind is CompleteMsg:
             if not self._got_peer_request:
                 raise ProtocolViolation("COMPLETE before request exchange")
             self.state.received_complete = True
             actions = self._maybe_start_turn(now)
             self._maybe_finish()
             return actions
+        if kind is PayloadMsg:
+            if not self._got_peer_request:
+                raise ProtocolViolation("PAYLOAD before request exchange")
+            return [AcceptPayload(msg.payload, msg.meta_for_receiver)]
         raise ProtocolViolation(f"unknown message {msg!r}")
 
     def _on_transfer_finished(self, pid: PayloadId, now: float) -> list[Action]:

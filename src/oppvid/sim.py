@@ -2,13 +2,16 @@
 
 The world owns one store per relay node, the destination's receive state,
 and the per-connection protocol engines. Every event is processed at a
-single (time, priority, sequence) point, so a scenario (including its seed)
-maps to exactly one run. Copy-count conservation is tracked exactly: for
-every payload the relay-side sum must equal the initial budget minus copies
-lost to TTL expiry or ACK deletion. A checked run verifies the invariants
-per event on what changed (the payload ids the event touched, the stores it
-swept, the destination's ACK if it was replaced), and runs the full scan,
-``verify_global_invariants``, at the end of the run.
+single (time, priority, sequence) point by its kind's one handler, so a
+scenario (including its seed) maps to exactly one run. ACK ticks and
+link-ups sweep only the relay stores whose earliest expiry has passed; a
+store with nothing due keeps its ``last_sweep_at``. Copy-count conservation
+is tracked exactly: for every payload the relay-side sum must equal the
+initial budget minus copies lost to TTL expiry or ACK deletion. A checked
+run verifies the invariants per event on what changed (the payload ids the
+event touched, the stores it swept, the destination's ACK if it was
+replaced), and runs the full scan, ``verify_global_invariants``, at the end
+of the run.
 """
 from __future__ import annotations
 
@@ -201,13 +204,14 @@ class _SegmentInfo:
 
 
 class _Connection:
-    __slots__ = ("conn_id", "a", "b", "engines", "busy_until", "pending", "locks",
+    __slots__ = ("conn_id", "a", "b", "peer", "engines", "busy_until", "pending", "locks",
                  "graceful_recorded", "alive")
 
     def __init__(self, conn_id: int, a: str, b: str):
         self.conn_id = conn_id
         self.a = a
         self.b = b
+        self.peer = {a: b, b: a}
         self.engines: dict[str, ConnectionEngine] = {}
         self.busy_until: dict[str, float] = {a: 0.0, b: 0.0}
         self.pending: dict[str, set[PayloadId]] = {a: set(), b: set()}
@@ -215,52 +219,43 @@ class _Connection:
         self.graceful_recorded: set[str] = set()
         self.alive = True
 
-    def other(self, node: str) -> str:
-        return self.b if node == self.a else self.a
-
 
 class _NodeView:
-    """Engine-facing read access to one node's slice of the world.
-
-    It holds the simulator weakly and its connection by id: the simulator
-    holds its open connections and they hold their engines and views, so a
-    strong reference back would leave every finished world to the cyclic
-    garbage collector.
+    """Engine-facing read access to one node's slice of the world, shared by
+    the node's connections. It refers directly to the node's store, pending
+    ids and the ACK and lock tables, and weakly to the simulator (for the
+    destination's received set): the simulator holds its views, so a strong
+    reference back would leave each finished world to the cyclic collector.
     """
 
-    def __init__(self, sim: Simulator, node: str, conn_id: int):
+    def __init__(self, sim: Simulator, node: str):
         self._sim = weakref.proxy(sim)
-        self._conn_id = conn_id
         self.node_id = node
         self.destination_id = sim.scenario.destination
+        self._store = sim.stores.get(node)  # None at the destination
+        self._acks = sim.node_ack
+        self._locked = sim.locked
+        self._pending = sim.pending_inbound[node]
 
     def current_ack(self) -> Ack:
-        return self._sim.node_ack[self.node_id]
+        return self._acks[self.node_id]
 
     def inventory(self) -> list[tuple[PayloadId, int]]:
-        if self.node_id == self.destination_id:
-            return []
-        return self._sim.stores[self.node_id].inventory()
+        return [] if self._store is None else self._store.inventory()
 
     def local_ids(self) -> set[PayloadId]:
-        if self.node_id == self.destination_id:
+        if self._store is None:
             return self._sim.dest_state.received
-        return self._sim.stores[self.node_id].ids()
+        return self._store.ids()
 
     def pending_inbound_ids(self) -> set[PayloadId]:
-        out: set[PayloadId] = set()
-        for conn in self._sim.conns.values():
-            if conn.conn_id != self._conn_id and self.node_id in conn.pending:
-                out |= conn.pending[self.node_id]
-        return out
+        return self._pending
 
     def store_entry(self, pid: PayloadId) -> StoredEntry | None:
-        if self.node_id == self.destination_id:
-            return None
-        return self._sim.stores[self.node_id].get(pid)
+        return None if self._store is None else self._store.get(pid)
 
     def is_relay_locked(self, pid: PayloadId) -> bool:
-        return (self.node_id, pid) in self._sim.locked
+        return (self.node_id, pid) in self._locked
 
 
 class Simulator:
@@ -300,6 +295,10 @@ class Simulator:
         self.conns: dict[int, _Connection] = {}
         self.conns_by_pair: dict[tuple[str, str], int] = {}
         self.locked: dict[tuple[str, PayloadId], int] = {}
+        # Ids each node has requested on any open connection and not yet
+        # received; a connection's own share is in its ``pending``.
+        self.pending_inbound: dict[str, set[PayloadId]] = {n: set() for n in nodes}
+        self.views = {n: _NodeView(self, n) for n in nodes}
         self._conn_seq = 0
         self._event_seq = 0
         self._heap: list[tuple[float, int, int, str, tuple]] = []
@@ -349,27 +348,22 @@ class Simulator:
         if self._ran:
             raise RuntimeError("a Simulator instance runs once; build a new one")
         self._ran = True
-        while self._heap:
-            time, _, _, kind, data = heapq.heappop(self._heap)
-            if time > self.scenario.duration:
+        handlers = {"msg": self._on_message_event, "down": self._on_down, "up": self._on_up,
+                    "segment": self._on_segment, "ack": self._on_ack_tick}
+        heap, pop, duration = self._heap, heapq.heappop, self.scenario.duration
+        check, on_event = self.check_invariants, self.on_event
+        while heap:
+            time, _, _, kind, data = pop(heap)
+            if time > duration:
                 break
             self.now = time
-            if kind == "msg":
-                self._on_message_event(time, data)
-            elif kind == "down":
-                self._on_down(time, data)
-            elif kind == "up":
-                self._on_up(time, data)
-            elif kind == "segment":
-                self._on_segment(data)
-            elif kind == "ack":
-                self._on_ack_tick(data)
-            if self.check_invariants:
+            handlers[kind](time, data)
+            if check:
                 violations = self._check_changes()
                 if violations:
                     raise InvariantViolationError(violations)
-            if self.on_event is not None:
-                self.on_event(self, kind, time, data)
+            if on_event is not None:
+                on_event(self, kind, time, data)
         if self.check_invariants:
             violations = verify_global_invariants(self)
             if violations:
@@ -397,9 +391,10 @@ class Simulator:
 
     def _on_up(self, now: float, data: tuple) -> None:
         a, b = data
-        for node in (a, b):
-            if node in self.stores:
-                self._sweep(node, now)
+        for node in data:
+            store = self.stores.get(node)
+            if store is not None and store.next_expiry() < now:
+                self._sweep(store, now)
         if not (should_connect(b, now, self.recents[a]) and should_connect(a, now, self.recents[b])):
             return
         self._conn_seq += 1
@@ -407,32 +402,29 @@ class Simulator:
         initiator = min(a, b)
         for node in (a, b):
             conn.engines[node] = ConnectionEngine(
-                _NodeView(self, node, conn.conn_id), peer=conn.other(node), is_initiator=node == initiator
+                self.views[node], peer=conn.peer[node], is_initiator=node == initiator
             )
         self.conns[conn.conn_id] = conn
         self.conns_by_pair[(a, b)] = conn.conn_id
         self.contacts_used += 1
-        for node in (initiator, conn.other(initiator)):
-            self._step_engine(conn, node, Connected(conn.other(node)), now)
+        for node in (initiator, conn.peer[initiator]):
+            self._step_engine(conn, node, Connected(conn.peer[node]), now)
 
     def _on_down(self, now: float, data: tuple) -> None:
-        conn_id = self.conns_by_pair.get(tuple(data))
-        if conn_id is not None:
-            conn = self.conns.get(conn_id)
-            if conn is not None:
-                self._teardown(conn, now)
+        conn = self.conns.get(self.conns_by_pair.get(data))
+        if conn is not None:
+            self._teardown(conn, now)
 
     def _on_message_event(self, now: float, data: tuple) -> None:
-        conn_id, sender, receiver, msg = data
-        conn = self.conns.get(conn_id)
-        if conn is None or not conn.alive:
+        conn, sender, receiver, msg = data
+        if not conn.alive:
             return  # link went down while this was in flight
-        if isinstance(msg, PayloadMsg):
+        if type(msg) is PayloadMsg:
             self._on_payload_arrival(conn, sender, receiver, msg, now)
         else:
             self._step_engine(conn, receiver, MessageReceived(msg), now)
 
-    def _on_segment(self, data: tuple) -> None:
+    def _on_segment(self, now: float, data: tuple) -> None:
         index, t = data
         scenario = self.scenario
         cfg = scenario.adaptation
@@ -455,17 +447,19 @@ class Simulator:
             self.initial_copies[payload.id] = meta.copy_count
         self.segment_infos[index] = _SegmentInfo(t, layers_sent, tuple(p.id for p, _ in packaged))
 
-    def _on_ack_tick(self, data: tuple) -> None:
+    def _on_ack_tick(self, now: float, data: tuple) -> None:
+        """A new cumulative ACK, then a sweep of each relay store with an expiry due."""
         (t,) = data
         ack = generate_ack(t, self.scenario.destination, self.dest_state)
         self.node_ack[self.scenario.destination] = ack
-        for node in self.relay_nodes:
-            self._sweep(node, float(t))
+        for store in self.stores.values():
+            if store.next_expiry() < now:
+                self._sweep(store, now)
 
     # -- world mechanics -------------------------------------------------------
 
-    def _sweep(self, node: str, now: float) -> None:
-        for entry in self.stores[node].expire_entries(now):
+    def _sweep(self, store: NodeStore, now: float) -> None:
+        for entry in store.expire_entries(now):
             self._lose(entry.payload.id, entry.meta.copy_count)
 
     def _lose(self, pid: PayloadId, copies: int) -> None:
@@ -480,8 +474,10 @@ class Simulator:
         actions = engine.step(event, now)
         if engine.violation is not None:
             self._check_engine(engine, now)
-        self._apply_actions(conn, node, actions, now)
-        self._after_step(conn, node, now)
+        if actions:
+            self._apply_actions(conn, node, actions, now)
+        if engine.state.phase is Phase.DONE:
+            self._on_done(conn, node, now)
 
     def _check_engine(self, engine: ConnectionEngine, now: float) -> None:
         """Raise in checked runs on a protocol violation the engine swallowed."""
@@ -493,27 +489,30 @@ class Simulator:
 
     def _apply_actions(self, conn: _Connection, node: str, actions: list[Action], now: float) -> None:
         for action in actions:
-            if isinstance(action, SendMessage):
+            kind = type(action)
+            if kind is SendMessage:
                 if conn.alive:
-                    if isinstance(action.msg, RequestMsg):
-                        conn.pending[node] = set(action.msg.ids)
-                    self._schedule_message(conn, node, action.msg, now)
-            elif isinstance(action, AdoptAck):
+                    msg = action.msg
+                    if type(msg) is RequestMsg:
+                        conn.pending[node] = set(msg.ids)
+                        self.pending_inbound[node] |= conn.pending[node]
+                    self._schedule_message(conn, node, msg, now)
+            elif kind is AdoptAck:
                 self._adopt_ack(node, action.ack)
             else:
                 # AcceptPayload/CommitRelay are settled by _on_payload_arrival.
                 raise RuntimeError(f"unexpected loose action {action!r}")
 
     def _schedule_message(self, conn: _Connection, sender: str, msg, now: float) -> None:
-        receiver = conn.other(sender)
-        start = max(now, conn.busy_until[sender])
+        busy = conn.busy_until
+        start = busy[sender] if busy[sender] > now else now
         arrival = start + transmission_size(msg) / self.scenario.bandwidth_bytes_per_sec
-        conn.busy_until[sender] = arrival
-        if isinstance(msg, PayloadMsg):
+        busy[sender] = arrival
+        if type(msg) is PayloadMsg:
             key = (sender, msg.payload.id)
             self.locked[key] = conn.conn_id
             conn.locks.append(key)
-        self._push(arrival, _PRIO_MSG, "msg", (conn.conn_id, sender, receiver, msg))
+        self._push(arrival, _PRIO_MSG, "msg", (conn, sender, conn.peer[sender], msg))
 
     def _adopt_ack(self, node: str, ack: Ack) -> None:
         self.node_ack[node] = ack
@@ -527,7 +526,9 @@ class Simulator:
         if self.locked.get(key) == conn.conn_id:
             del self.locked[key]
             conn.locks.remove(key)
-        conn.pending[receiver].discard(pid)
+        if pid in conn.pending[receiver]:
+            conn.pending[receiver].remove(pid)
+            self.pending_inbound[receiver].remove(pid)
         self.relay_transmissions += 1
         self.bytes_relayed += msg.payload.size_bytes
 
@@ -537,13 +538,14 @@ class Simulator:
         for engine in (receiving, sending):
             if engine.violation is not None:
                 self._check_engine(engine, now)
-        accepts = [a for a in receiver_actions if isinstance(a, AcceptPayload)]
-        commits = [a for a in sender_actions if isinstance(a, CommitRelay)]
+        accepts = [a for a in receiver_actions if type(a) is AcceptPayload]
+        commits = [a for a in sender_actions if type(a) is CommitRelay]
         self._settle_transfer(sender, receiver, msg, bool(accepts), commits, now)
-        self._apply_actions(conn, receiver, [a for a in receiver_actions if not isinstance(a, AcceptPayload)], now)
-        self._apply_actions(conn, sender, [a for a in sender_actions if not isinstance(a, CommitRelay)], now)
-        self._after_step(conn, receiver, now)
-        self._after_step(conn, sender, now)
+        self._apply_actions(conn, receiver, [a for a in receiver_actions if type(a) is not AcceptPayload], now)
+        self._apply_actions(conn, sender, [a for a in sender_actions if type(a) is not CommitRelay], now)
+        for node, engine in ((receiver, receiving), (sender, sending)):
+            if engine.state.phase is Phase.DONE:
+                self._on_done(conn, node, now)
 
     def _settle_transfer(
         self,
@@ -591,19 +593,17 @@ class Simulator:
         elif pid == info.payload_ids[0]:
             info.base_delivered_at = now
 
-    def _after_step(self, conn: _Connection, node: str, now: float) -> None:
+    def _on_done(self, conn: _Connection, node: str, now: float) -> None:
+        """``node``'s engine has finished: end the contact or record a graceful side."""
         if not conn.alive:
             return
-        engine = conn.engines[node]
-        if engine.state.phase is not Phase.DONE:
-            return
-        if not engine.state.graceful:
+        if not conn.engines[node].state.graceful:
             self._teardown(conn, now)
             return
         if node not in conn.graceful_recorded:
             conn.graceful_recorded.add(node)
-            self.recents[node][conn.other(node)] = now
-        if all(e.state.phase is Phase.DONE and e.state.graceful for e in conn.engines.values()):
+            self.recents[node][conn.peer[node]] = now
+        if conn.engines[conn.peer[node]].state.graceful:  # graceful implies DONE
             self._close(conn)
 
     def _teardown(self, conn: _Connection, now: float) -> None:
@@ -622,8 +622,8 @@ class Simulator:
         for key in conn.locks:
             self.locked.pop(key, None)
         conn.locks.clear()
-        conn.pending[conn.a].clear()
-        conn.pending[conn.b].clear()
+        for node, ids in conn.pending.items():
+            self.pending_inbound[node] -= ids
         self.conns.pop(conn.conn_id, None)
         if self.conns_by_pair.get((conn.a, conn.b)) == conn.conn_id:
             del self.conns_by_pair[(conn.a, conn.b)]

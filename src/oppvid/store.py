@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -67,9 +68,6 @@ class NodeStore:
     def ids(self) -> set[PayloadId]:
         return set(self._entries)
 
-    def entries(self) -> list[StoredEntry]:
-        return list(self._entries.values())
-
     def insert(self, entry: StoredEntry, now: float) -> InsertResult:
         if self._changes is not None:
             # Noted whatever the result: callers register the id's copy
@@ -83,6 +81,11 @@ class NodeStore:
         expiry = entry.payload.created_at + entry.payload.ttl_seconds
         heapq.heappush(self._expiry_heap, (expiry, entry.payload.id.canonical, entry.payload.id))
         return InsertResult.STORED
+
+    def next_expiry(self) -> float:
+        """Earliest expiry time still queued (``inf`` if none); a sweep at or
+        before it removes nothing."""
+        return self._expiry_heap[0][0] if self._expiry_heap else math.inf
 
     def expire_entries(self, now: float) -> list[StoredEntry]:
         """Remove every entry whose TTL has elapsed; returns the removed entries."""

@@ -40,7 +40,7 @@ TYPE_PAYLOAD = 4
 TYPE_COMPLETE = 5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AckMsg:
     ack: Ack
 
@@ -61,13 +61,13 @@ class RequestMsg:
         object.__setattr__(self, "ids", tuple(ids))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PayloadMsg:
     payload: Payload
     meta_for_receiver: RelayMetadata
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CompleteMsg:
     pass
 
@@ -220,31 +220,33 @@ def _ack_ids_bytes(ids: frozenset[PayloadId]) -> int:
     return size
 
 
+# Each message type's encoded length, field by field: type code, then the
+# body's strings, counts and integers as ``encode`` lays them out.
+_SIZERS = {
+    AckMsg: lambda m: 4 + _str_size(m.ack.destination) + 8 + 4 + _ack_ids_bytes(m.ack.delivered_ids),
+    InventoryMsg: lambda m: 4 + 4 + sum(_str_size(p.canonical) + 4 for p, _ in m.entries),
+    RequestMsg: lambda m: 4 + 4 + sum(_str_size(p.canonical) for p in m.ids),
+    PayloadMsg: lambda m: (4 + _str_size(m.payload.id.canonical) + 24 + 8
+                           + sum(_str_size(node) for node in m.meta_for_receiver.traversed_nodes)),
+    CompleteMsg: lambda m: 4,
+}
+
+
 def encoded_size(msg: ControlMessage) -> int:
     """Byte length of encode(msg) without building the bytes (hot path).
 
-    An ACK's id list is sized once per id set and remembered until the set is
-    freed (``_ack_ids_bytes``): the same cumulative list is re-sent at every
-    handshake. Every other message is sized field by field.
+    The sizer is picked by exact type. An ACK's id list is sized once per id
+    set and remembered until the set is freed (``_ack_ids_bytes``): the same
+    cumulative list is re-sent at every handshake.
     """
-    if isinstance(msg, AckMsg):
-        n = 4 + _str_size(msg.ack.destination) + 8 + 4
-        return n + _ack_ids_bytes(msg.ack.delivered_ids)
-    if isinstance(msg, InventoryMsg):
-        return 4 + 4 + sum(_str_size(p.canonical) + 4 for p, _ in msg.entries)
-    if isinstance(msg, RequestMsg):
-        return 4 + 4 + sum(_str_size(p.canonical) for p in msg.ids)
-    if isinstance(msg, PayloadMsg):
-        n = 4 + _str_size(msg.payload.id.canonical) + 24 + 8
-        return n + sum(_str_size(node) for node in msg.meta_for_receiver.traversed_nodes)
-    if isinstance(msg, CompleteMsg):
-        return 4
-    raise WireError(f"not a control message: {msg!r}")
+    sizer = _SIZERS.get(type(msg))
+    if sizer is None:
+        raise WireError(f"not a control message: {msg!r}")
+    return sizer(msg)
 
 
 def transmission_size(msg: ControlMessage) -> int:
     """Bytes occupying the link: header/metadata plus the payload content itself."""
-    size = encoded_size(msg)
-    if isinstance(msg, PayloadMsg):
-        size += msg.payload.size_bytes
-    return size
+    if type(msg) is PayloadMsg:
+        return encoded_size(msg) + msg.payload.size_bytes
+    return encoded_size(msg)

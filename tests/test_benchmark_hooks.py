@@ -38,3 +38,29 @@ def test_tracer_finds_every_wrap_point_and_sees_the_history():
     assert sim.record_transmission is adaptation.record_transmission
     assert tracer.calls[tracer.index["adaptation.record_transmission"]] == segments
     assert tracer.maxima["history_len"] == segments
+
+
+# Work counts of random_scenario(5) under the tracer, taken before the control
+# path and the store sweeps were made lean. The refactor kept every call the
+# tracer wraps, so these must not change; sweeps may only get fewer.
+PINNED_CALLS = {"protocol.step": 1973, "wire.transmission_size": 1533, "wire.encoded_size": 1533,
+                "store.inventory": 670}
+PINNED_EVENTS = {"msg": 1533, "up": 212, "down": 212, "segment": 19, "ack": 20}
+PINNED_SWEEPS, PINNED_EXPIRED = 588, 42
+
+
+def test_traced_layer_counts_match_the_pinned_ones():
+    ov = SimpleNamespace(adaptation=adaptation, cli=cli, destination=destination, protocol=protocol,
+                         sim=sim, store=store, trace=trace, wire=wire)
+    tracer_module = _load_tracer()
+    tracer = tracer_module.Tracer(ov)
+    tracer.install()
+    try:
+        sim.run(random_scenario(5))
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == []
+    assert {name: tracer.calls[tracer.index[name]] for name in PINNED_CALLS} == PINNED_CALLS
+    assert dict(zip(tracer_module.EVENT_KINDS, tracer.event_calls)) == PINNED_EVENTS
+    assert tracer.calls[tracer.index["store.expire_entries"]] <= PINNED_SWEEPS
+    assert tracer.counts["expired"] == PINNED_EXPIRED

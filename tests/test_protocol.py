@@ -98,11 +98,6 @@ def test_older_remote_ack_ignored():
     assert merge_ack(local, remote) == (local, False)
 
 
-def test_remote_fills_missing_local():
-    remote = Ack("d", 50)
-    assert merge_ack(None, remote) == (remote, True)
-
-
 def test_tie_keeps_local():
     local, remote = Ack("d", 100), Ack("d", 100, frozenset({pid()}))
     assert merge_ack(local, remote) == (local, False)

@@ -124,6 +124,46 @@ def test_expired_payload_never_leaves_the_source():
     assert sim.lost_copies[p.id] == 8
 
 
+def test_ack_tick_sweeps_only_a_store_with_an_expiry_due():
+    # The contacts lie past the end of the run: only ACK ticks sweep here.
+    scenario = chain_scenario("5000 CONN a b up\n5001 CONN b c up", duration=1500)
+    seen = []
+
+    def hook(sim, kind, time, data):
+        if kind == "ack":
+            seen.append((time, sim.stores["a"].last_sweep_at, sim.stores["b"].last_sweep_at,
+                         short.id in sim.stores["b"], sim.lost_copies.get(short.id, 0)))
+
+    sim = Simulator(scenario, check_invariants=True, on_event=hook)
+    short = Payload(PayloadId("a", 0, 0), 1000, 0, 400)  # expires between the ticks at 300 and 600
+    sim.seed_payload(short, RelayMetadata(4, ("a",)), at="b")
+    sim.seed_payload(Payload(PayloadId("a", 1, 0), 1000, 0, 100_000), RelayMetadata(8, ("a",)))
+    sim.run()
+    assert seen == [
+        (300.0, 0.0, 0.0, True, 0),
+        (600.0, 0.0, 600.0, False, 4),  # lost at the first tick after its expiry
+        (900.0, 0.0, 600.0, False, 4),  # b now holds nothing due and keeps its sweep time
+        (1200.0, 0.0, 600.0, False, 4),
+        (1500.0, 0.0, 600.0, False, 4),
+    ]
+
+
+def test_pending_inbound_index_matches_a_scan_of_the_open_connections():
+    nonempty = 0
+    for seed in range(20):
+        def hook(sim, kind, time, data):
+            nonlocal nonempty
+            for node in sim.nodes:
+                scanned = set()
+                for conn in sim.conns.values():
+                    scanned |= conn.pending.get(node, set())
+                assert sim.pending_inbound[node] == scanned
+                nonempty += bool(scanned)
+
+        Simulator(random_scenario(seed), on_event=hook).run()
+    assert nonempty > 0
+
+
 def test_five_minute_suppression_counts_connections():
     lines = []
     for k in range(4):

@@ -34,6 +34,17 @@ def test_insert_expired_is_rejected():
     assert len(store) == 0
 
 
+def test_next_expiry_is_the_earliest_queued_expiry():
+    store = NodeStore()
+    assert store.next_expiry() == float("inf")
+    store.insert(entry(segment=1, created_at=0, ttl=200), now=0)
+    store.insert(entry(segment=2, created_at=0, ttl=100), now=0)
+    assert store.next_expiry() == 100
+    assert store.expire_entries(100) == []  # alive at exactly created_at + ttl
+    assert len(store.expire_entries(101)) == 1
+    assert store.next_expiry() == 200
+
+
 def test_expire_removes_only_elapsed():
     store = NodeStore()
     p1 = entry(segment=1, created_at=0, ttl=100)
@@ -147,5 +158,5 @@ def test_no_expired_entry_survives_a_sweep(specs, sweep_time):
     for segment, ttl, copies in specs:
         store.insert(entry(segment=segment, ttl=ttl, copies=copies), now=0)
     store.expire_entries(sweep_time)
-    for e in store.entries():
-        assert not e.payload.expired(sweep_time)
+    for pid in store.ids():
+        assert not store.get(pid).payload.expired(sweep_time)
