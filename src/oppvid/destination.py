@@ -16,7 +16,6 @@ class IngestResult(Enum):
 class DestinationState:
     received: set[PayloadId] = field(default_factory=set)
     last_ack_time: int = 0
-    delivery_times: dict[PayloadId, float] = field(default_factory=dict)
     _frozen_received: frozenset[PayloadId] | None = None
 
 
@@ -26,7 +25,6 @@ def ingest(payload: Payload, now: float, state: DestinationState) -> IngestResul
     if pid in state.received:
         return IngestResult.DUPLICATE
     state.received.add(pid)
-    state.delivery_times[pid] = now
     state._frozen_received = None
     return IngestResult.NEW
 

@@ -5,19 +5,20 @@ and the per-connection protocol engines. Every event is processed at a
 single (time, priority, sequence) point by its kind's one handler, so a
 scenario (including its seed) maps to exactly one run. ACK ticks and
 link-ups sweep only the relay stores whose earliest expiry has passed; a
-store with nothing due keeps its ``last_sweep_at``. Copy-count conservation
-is tracked exactly: for every payload the relay-side sum must equal the
-initial budget minus copies lost to TTL expiry or ACK deletion. A checked
-run verifies the invariants per event on what changed (the payload ids the
-event touched, the stores it swept, the destination's ACK if it was
-replaced), and runs the full scan, ``verify_global_invariants``, at the end
-of the run.
+store with nothing due keeps its ``last_sweep_at``. Every action an engine
+emits is applied in one place, ``Simulator._apply_actions``. Copy-count
+conservation is tracked exactly: for every payload the relay-side sum must
+equal the initial budget minus copies lost to TTL expiry or ACK deletion,
+and a relayed share is booked lost at the sender's commit and found again
+when the receiver stores it. A checked run verifies the invariants per event
+on what changed (the payload ids the event touched, the stores it swept, the
+destination's ACK if it was replaced), and runs the full scan,
+``verify_global_invariants``, at the end of the run.
 """
 from __future__ import annotations
 
 import heapq
 import math
-import weakref
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -36,7 +37,6 @@ from .protocol import (
     AcceptPayload,
     Action,
     AdoptAck,
-    CommitRelay,
     Connected,
     ConnectionEngine,
     LinkDown,
@@ -204,11 +204,9 @@ class _SegmentInfo:
 
 
 class _Connection:
-    __slots__ = ("conn_id", "a", "b", "peer", "engines", "busy_until", "pending", "locks",
-                 "graceful_recorded", "alive")
+    __slots__ = ("a", "b", "peer", "engines", "busy_until", "pending", "locks", "alive")
 
-    def __init__(self, conn_id: int, a: str, b: str):
-        self.conn_id = conn_id
+    def __init__(self, a: str, b: str):
         self.a = a
         self.b = b
         self.peer = {a: b, b: a}
@@ -216,23 +214,22 @@ class _Connection:
         self.busy_until: dict[str, float] = {a: 0.0, b: 0.0}
         self.pending: dict[str, set[PayloadId]] = {a: set(), b: set()}
         self.locks: list[tuple[str, PayloadId]] = []
-        self.graceful_recorded: set[str] = set()
         self.alive = True
 
 
 class _NodeView:
     """Engine-facing read access to one node's slice of the world, shared by
-    the node's connections. It refers directly to the node's store, pending
-    ids and the ACK and lock tables, and weakly to the simulator (for the
-    destination's received set): the simulator holds its views, so a strong
-    reference back would leave each finished world to the cyclic collector.
+    the node's connections. It refers directly to the node's store (or the
+    destination's received set), pending ids and the ACK and lock tables,
+    never to the simulator: the simulator holds its views, so a reference
+    back would leave each finished world to the cyclic collector.
     """
 
     def __init__(self, sim: Simulator, node: str):
-        self._sim = weakref.proxy(sim)
         self.node_id = node
         self.destination_id = sim.scenario.destination
         self._store = sim.stores.get(node)  # None at the destination
+        self._received = sim.dest_state.received
         self._acks = sim.node_ack
         self._locked = sim.locked
         self._pending = sim.pending_inbound[node]
@@ -244,9 +241,7 @@ class _NodeView:
         return [] if self._store is None else self._store.inventory()
 
     def local_ids(self) -> set[PayloadId]:
-        if self._store is None:
-            return self._sim.dest_state.received
-        return self._store.ids()
+        return self._received if self._store is None else self._store.ids()
 
     def pending_inbound_ids(self) -> set[PayloadId]:
         return self._pending
@@ -292,14 +287,13 @@ class Simulator:
         self.node_ack: dict[str, Ack] = {n: Ack.empty(scenario.destination) for n in nodes}
         self.recents: dict[str, dict[str, float]] = {n: {} for n in nodes}
 
-        self.conns: dict[int, _Connection] = {}
-        self.conns_by_pair: dict[tuple[str, str], int] = {}
-        self.locked: dict[tuple[str, PayloadId], int] = {}
+        self.conns: dict[tuple[str, str], _Connection] = {}
+        # (sender, payload id) of every payload in flight.
+        self.locked: set[tuple[str, PayloadId]] = set()
         # Ids each node has requested on any open connection and not yet
         # received; a connection's own share is in its ``pending``.
         self.pending_inbound: dict[str, set[PayloadId]] = {n: set() for n in nodes}
         self.views = {n: _NodeView(self, n) for n in nodes}
-        self._conn_seq = 0
         self._event_seq = 0
         self._heap: list[tuple[float, int, int, str, tuple]] = []
 
@@ -397,21 +391,19 @@ class Simulator:
                 self._sweep(store, now)
         if not (should_connect(b, now, self.recents[a]) and should_connect(a, now, self.recents[b])):
             return
-        self._conn_seq += 1
-        conn = _Connection(self._conn_seq, a, b)
+        conn = _Connection(a, b)
         initiator = min(a, b)
         for node in (a, b):
             conn.engines[node] = ConnectionEngine(
                 self.views[node], peer=conn.peer[node], is_initiator=node == initiator
             )
-        self.conns[conn.conn_id] = conn
-        self.conns_by_pair[(a, b)] = conn.conn_id
+        self.conns[data] = conn
         self.contacts_used += 1
         for node in (initiator, conn.peer[initiator]):
             self._step_engine(conn, node, Connected(conn.peer[node]), now)
 
     def _on_down(self, now: float, data: tuple) -> None:
-        conn = self.conns.get(self.conns_by_pair.get(data))
+        conn = self.conns.get(data)
         if conn is not None:
             self._teardown(conn, now)
 
@@ -472,20 +464,16 @@ class Simulator:
         if engine.state.phase is Phase.DONE:
             return
         actions = engine.step(event, now)
-        if engine.violation is not None:
-            self._check_engine(engine, now)
+        if engine.violation is not None and self.check_invariants:
+            # The engine swallowed it into an abrupt end; a checked run raises.
+            raise InvariantViolationError([
+                Violation("protocol-violation", None, now,
+                          f"node {node} (peer {engine.peer}): {engine.violation}")
+            ])
         if actions:
             self._apply_actions(conn, node, actions, now)
         if engine.state.phase is Phase.DONE:
             self._on_done(conn, node, now)
-
-    def _check_engine(self, engine: ConnectionEngine, now: float) -> None:
-        """Raise in checked runs on a protocol violation the engine swallowed."""
-        if self.check_invariants:
-            raise InvariantViolationError([
-                Violation("protocol-violation", None, now,
-                          f"node {engine.view.node_id} (peer {engine.peer}): {engine.violation}")
-            ])
 
     def _apply_actions(self, conn: _Connection, node: str, actions: list[Action], now: float) -> None:
         for action in actions:
@@ -499,9 +487,10 @@ class Simulator:
                     self._schedule_message(conn, node, msg, now)
             elif kind is AdoptAck:
                 self._adopt_ack(node, action.ack)
-            else:
-                # AcceptPayload/CommitRelay are settled by _on_payload_arrival.
-                raise RuntimeError(f"unexpected loose action {action!r}")
+            elif kind is AcceptPayload:
+                self._accept(node, action.payload, action.meta, now)
+            else:  # CommitRelay
+                self._commit(node, action.payload_id, action.sender_keeps)
 
     def _schedule_message(self, conn: _Connection, sender: str, msg, now: float) -> None:
         busy = conn.busy_until
@@ -510,7 +499,7 @@ class Simulator:
         busy[sender] = arrival
         if type(msg) is PayloadMsg:
             key = (sender, msg.payload.id)
-            self.locked[key] = conn.conn_id
+            self.locked.add(key)
             conn.locks.append(key)
         self._push(arrival, _PRIO_MSG, "msg", (conn, sender, conn.peer[sender], msg))
 
@@ -523,61 +512,36 @@ class Simulator:
     def _on_payload_arrival(self, conn: _Connection, sender: str, receiver: str, msg: PayloadMsg, now: float) -> None:
         pid = msg.payload.id
         key = (sender, pid)
-        if self.locked.get(key) == conn.conn_id:
-            del self.locked[key]
-            conn.locks.remove(key)
+        self.locked.remove(key)
+        conn.locks.remove(key)
         if pid in conn.pending[receiver]:
             conn.pending[receiver].remove(pid)
             self.pending_inbound[receiver].remove(pid)
         self.relay_transmissions += 1
         self.bytes_relayed += msg.payload.size_bytes
+        self._step_engine(conn, receiver, MessageReceived(msg), now)
+        self._step_engine(conn, sender, TransferFinished(pid), now)
 
-        receiving, sending = conn.engines[receiver], conn.engines[sender]
-        receiver_actions = receiving.step(MessageReceived(msg), now)
-        sender_actions = sending.step(TransferFinished(pid), now)
-        for engine in (receiving, sending):
-            if engine.violation is not None:
-                self._check_engine(engine, now)
-        accepts = [a for a in receiver_actions if type(a) is AcceptPayload]
-        commits = [a for a in sender_actions if type(a) is CommitRelay]
-        self._settle_transfer(sender, receiver, msg, bool(accepts), commits, now)
-        self._apply_actions(conn, receiver, [a for a in receiver_actions if type(a) is not AcceptPayload], now)
-        self._apply_actions(conn, sender, [a for a in sender_actions if type(a) is not CommitRelay], now)
-        for node, engine in ((receiver, receiving), (sender, sending)):
-            if engine.state.phase is Phase.DONE:
-                self._on_done(conn, node, now)
-
-    def _settle_transfer(
-        self,
-        sender: str,
-        receiver: str,
-        msg: PayloadMsg,
-        receiver_accepts: bool,
-        commits: list[CommitRelay],
-        now: float,
-    ) -> None:
-        pid = msg.payload.id
-        if receiver == self.scenario.destination:
+    def _accept(self, node: str, payload: Payload, meta: RelayMetadata, now: float) -> None:
+        """``node`` takes in an arrived payload: the destination delivers it, a
+        relay stores it unless it already holds the id's ACK."""
+        pid = payload.id
+        if node == self.scenario.destination:
             # Direct delivery: the sender keeps its replica and budget untouched.
-            if receiver_accepts and not msg.payload.expired(now):
-                if ingest(msg.payload, now, self.dest_state) is IngestResult.NEW:
-                    self._maybe_mark_base_delivery(pid, now)
-            return
-        moved = msg.meta_for_receiver.copy_count
-        sender_store = self.stores[sender]
-        sender_present = pid in sender_store
-        if commits and sender_present:
-            sender_store.update_copy_count(pid, commits[0].sender_keeps)
-        stored = False
-        if receiver_accepts and pid not in self.node_ack[receiver].delivered_ids:
-            entry = StoredEntry(msg.payload, msg.meta_for_receiver)
-            stored = self.stores[receiver].insert(entry, now) is InsertResult.STORED
-        # Copies only vanish through TTL/ACK; keep the ledger exact in the
-        # racy corners (mid-flight deletion, arrival after ack/expiry).
-        if sender_present and not stored:
-            self._lose(pid, moved)
-        elif not sender_present and stored:
-            self._lose(pid, -moved)
+            if not payload.expired(now) and ingest(payload, now, self.dest_state) is IngestResult.NEW:
+                self._maybe_mark_base_delivery(pid, now)
+        elif pid not in self.node_ack[node].delivered_ids:
+            if self.stores[node].insert(StoredEntry(payload, meta), now) is InsertResult.STORED:
+                self._lose(pid, -meta.copy_count)
+
+    def _commit(self, node: str, pid: PayloadId, keeps: int) -> None:
+        """The sender of a relay transfer keeps ``keeps`` copies, if it still
+        holds the id; the share it gave away is lost until the receiver stores it."""
+        store = self.stores[node]
+        entry = store.get(pid)
+        if entry is not None:
+            self._lose(pid, entry.meta.copy_count - keeps)
+            store.update_copy_count(pid, keeps)
 
     def _maybe_mark_base_delivery(self, pid: PayloadId, now: float) -> None:
         if pid.source_node != self.scenario.source:
@@ -594,23 +558,16 @@ class Simulator:
             info.base_delivered_at = now
 
     def _on_done(self, conn: _Connection, node: str, now: float) -> None:
-        """``node``'s engine has finished: end the contact or record a graceful side."""
-        if not conn.alive:
-            return
+        """``node``'s engine has just finished: end the contact or record a graceful side."""
         if not conn.engines[node].state.graceful:
             self._teardown(conn, now)
             return
-        if node not in conn.graceful_recorded:
-            conn.graceful_recorded.add(node)
-            self.recents[node][conn.peer[node]] = now
+        self.recents[node][conn.peer[node]] = now
         if conn.engines[conn.peer[node]].state.graceful:  # graceful implies DONE
             self._close(conn)
 
     def _teardown(self, conn: _Connection, now: float) -> None:
         """Abrupt end: in-flight data is lost, nothing remembered."""
-        if not conn.alive:
-            return
-        conn.alive = False
         for node in (conn.a, conn.b):
             engine = conn.engines[node]
             if engine.state.phase is not Phase.DONE:
@@ -619,14 +576,12 @@ class Simulator:
 
     def _close(self, conn: _Connection) -> None:
         conn.alive = False
-        for key in conn.locks:
-            self.locked.pop(key, None)
-        conn.locks.clear()
+        self.locked.difference_update(conn.locks)
         for node, ids in conn.pending.items():
             self.pending_inbound[node] -= ids
-        self.conns.pop(conn.conn_id, None)
-        if self.conns_by_pair.get((conn.a, conn.b)) == conn.conn_id:
-            del self.conns_by_pair[(conn.a, conn.b)]
+        pair = (conn.a, conn.b)
+        if self.conns.get(pair) is conn:  # a nested up may have replaced it
+            del self.conns[pair]
 
     # -- metrics -----------------------------------------------------------------
 

@@ -50,8 +50,8 @@ class NodeStore:
 
     def __init__(self, changes: ChangeLog | None = None):
         self._entries: dict[PayloadId, StoredEntry] = {}
-        # (expiry_time, canonical id) min-heap; entries may be stale after
-        # ack/update removals and are skipped on pop.
+        # (expiry_time, canonical id) min-heap; items whose id an ACK has
+        # since removed are stale and skipped on pop.
         self._expiry_heap: list[tuple[int, str, PayloadId]] = []
         self.last_sweep_at: float = 0.0
         self._changes = changes
@@ -83,9 +83,12 @@ class NodeStore:
         return InsertResult.STORED
 
     def next_expiry(self) -> float:
-        """Earliest expiry time still queued (``inf`` if none); a sweep at or
-        before it removes nothing."""
-        return self._expiry_heap[0][0] if self._expiry_heap else math.inf
+        """Earliest expiry of a held entry (``inf`` if none); a sweep at or
+        before it removes nothing. Drops the stale heads it passes."""
+        heap, entries = self._expiry_heap, self._entries
+        while heap and heap[0][2] not in entries:
+            heapq.heappop(heap)
+        return heap[0][0] if heap else math.inf
 
     def expire_entries(self, now: float) -> list[StoredEntry]:
         """Remove every entry whose TTL has elapsed; returns the removed entries."""

