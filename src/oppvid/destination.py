@@ -19,7 +19,7 @@ class DestinationState:
     _frozen_received: frozenset[PayloadId] | None = None
 
 
-def ingest(payload: Payload, now: float, state: DestinationState) -> IngestResult:
+def ingest(payload: Payload, state: DestinationState) -> IngestResult:
     """Record a payload arrival; only the first arrival of an id counts."""
     pid = payload.id
     if pid in state.received:

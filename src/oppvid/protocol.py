@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Protocol
+from typing import Iterable, Protocol
 
 from .model import Ack, Payload, PayloadId, RelayMetadata
 from .store import StoredEntry
@@ -58,7 +58,7 @@ def merge_ack(local: Ack, remote: Ack) -> tuple[Ack, bool]:
 
 
 def compute_request_list(
-    remote_inventory: list[tuple[PayloadId, int]],
+    remote_inventory: Iterable[tuple[PayloadId, int]],
     local_ids: set[PayloadId],
     acked: frozenset[PayloadId] | set[PayloadId],
     am_destination: bool,
@@ -78,7 +78,7 @@ def compute_request_list(
 
 
 def build_send_queue(
-    requested: list[PayloadId],
+    requested: Iterable[PayloadId],
     store_view: list[tuple[PayloadId, int]],
     peer_is_destination: bool,
 ) -> list[PayloadId]:
@@ -254,7 +254,7 @@ class ConnectionEngine:
                 raise ProtocolViolation("INVENTORY out of order")
             self._got_peer_inventory = True
             wanted = compute_request_list(
-                list(msg.entries),
+                msg.entries,
                 self.view.local_ids() | self.view.pending_inbound_ids(),
                 self.view.current_ack().delivered_ids,
                 self.am_destination,
@@ -267,7 +267,7 @@ class ConnectionEngine:
                 raise ProtocolViolation("REQUEST out of order")
             self._got_peer_request = True
             self.state.send_queue = build_send_queue(
-                list(msg.ids), self.view.inventory(), self.peer_is_destination
+                msg.ids, self.view.inventory(), self.peer_is_destination
             )
             return self._maybe_start_turn(now)
         if kind is CompleteMsg:

@@ -3,7 +3,12 @@
 The world owns one store per relay node, the destination's receive state,
 and the per-connection protocol engines. Every event is processed at a
 single (time, priority, sequence) point by its kind's one handler, so a
-scenario (including its seed) maps to exactly one run. ACK ticks and
+scenario (including its seed) maps to exactly one run. The events known
+before the run (link ups and downs, segment and ACK ticks) sit in one list
+sorted latest first; a heap holds only the messages in flight, numbered
+after them, and each step takes the earlier of the two heads. Each store
+hands every INVENTORY and REQUEST the same sorted inventory list until its
+entries next change (``NodeStore.inventory``). ACK ticks and
 link-ups sweep only the relay stores whose earliest expiry has passed; a
 store with nothing due keeps its ``last_sweep_at``. Every action an engine
 emits is applied in one place, ``Simulator._apply_actions``. Copy-count
@@ -47,7 +52,7 @@ from .protocol import (
     should_connect,
 )
 from .store import ChangeLog, InsertResult, NodeStore, StoredEntry
-from .trace import ContactEvent, ContactKind, trace_nodes
+from .trace import ContactEvent, ContactKind, TraceError, check_pairing, trace_nodes
 from .wire import PayloadMsg, RequestMsg, transmission_size
 
 
@@ -128,6 +133,10 @@ class Scenario:
         object.__setattr__(self, "trace", tuple(self.trace))
         object.__setattr__(self, "nodes", frozenset(trace_nodes(self.trace)))
         problems = []
+        try:
+            check_pairing(self.trace)
+        except TraceError as exc:
+            problems.append(("trace", str(exc)))
         for name, check in (("source", validate_node_id), ("destination", validate_node_id),
                             ("resolution", _check_resolution)):
             try:
@@ -294,8 +303,6 @@ class Simulator:
         # received; a connection's own share is in its ``pending``.
         self.pending_inbound: dict[str, set[PayloadId]] = {n: set() for n in nodes}
         self.views = {n: _NodeView(self, n) for n in nodes}
-        self._event_seq = 0
-        self._heap: list[tuple[float, int, int, str, tuple]] = []
 
         # Conservation ledger: initial replica budget and copies lost to
         # TTL/ACK deletion per payload id.
@@ -311,22 +318,31 @@ class Simulator:
         self.now = 0.0
         self._ran = False
 
+        # Every event known before the run, numbered in build order and
+        # sorted latest first, so ``run`` takes the next one with ``pop()``.
+        # The heap holds only messages in flight, numbered after these.
+        timeline: list[tuple[float, int, int, str, tuple]] = []
+        add = timeline.append
         for event in scenario.trace:
             if event.time > scenario.duration:
                 continue
             prio = _PRIO_UP if event.kind is ContactKind.UP else _PRIO_DOWN
-            self._push(event.time, prio, event.kind.value, (event.node_a, event.node_b))
+            add((event.time, prio, len(timeline) + 1, event.kind.value, (event.node_a, event.node_b)))
         period = scenario.adaptation.segment_period
         index = 0
         t = period
         while t < scenario.duration:
-            self._push(float(t), _PRIO_SEGMENT, "segment", (index, t))
+            add((float(t), _PRIO_SEGMENT, len(timeline) + 1, "segment", (index, t)))
             index += 1
             t += period
         t = scenario.ack_period
         while t <= scenario.duration:
-            self._push(float(t), _PRIO_ACK, "ack", (t,))
+            add((float(t), _PRIO_ACK, len(timeline) + 1, "ack", (t,)))
             t += scenario.ack_period
+        timeline.sort(reverse=True)
+        self._timeline = timeline
+        self._event_seq = len(timeline)
+        self._heap: list[tuple[float, int, int, str, tuple]] = []
 
     # -- public API ----------------------------------------------------------
 
@@ -344,10 +360,21 @@ class Simulator:
         self._ran = True
         handlers = {"msg": self._on_message_event, "down": self._on_down, "up": self._on_up,
                     "segment": self._on_segment, "ack": self._on_ack_tick}
-        heap, pop, duration = self._heap, heapq.heappop, self.scenario.duration
+        timeline, heap, duration = self._timeline, self._heap, self.scenario.duration
+        next_static, next_msg = timeline.pop, heapq.heappop
         check, on_event = self.check_invariants, self.on_event
-        while heap:
-            time, _, _, kind, data = pop(heap)
+        while True:
+            # The earlier of the two heads; sequence numbers are unique, so
+            # whole tuples never tie and the order is the single-queue one.
+            if heap:
+                if timeline and timeline[-1] < heap[0]:
+                    time, _, _, kind, data = next_static()
+                else:
+                    time, _, _, kind, data = next_msg(heap)
+            elif timeline:
+                time, _, _, kind, data = next_static()
+            else:
+                break
             if time > duration:
                 break
             self.now = time
@@ -378,10 +405,6 @@ class Simulator:
         return violations
 
     # -- event handlers --------------------------------------------------------
-
-    def _push(self, time: float, prio: int, kind: str, data: tuple) -> None:
-        self._event_seq += 1
-        heapq.heappush(self._heap, (time, prio, self._event_seq, kind, data))
 
     def _on_up(self, now: float, data: tuple) -> None:
         a, b = data
@@ -501,7 +524,9 @@ class Simulator:
             key = (sender, msg.payload.id)
             self.locked.add(key)
             conn.locks.append(key)
-        self._push(arrival, _PRIO_MSG, "msg", (conn, sender, conn.peer[sender], msg))
+        self._event_seq += 1
+        event = (arrival, _PRIO_MSG, self._event_seq, "msg", (conn, sender, conn.peer[sender], msg))
+        heapq.heappush(self._heap, event)
 
     def _adopt_ack(self, node: str, ack: Ack) -> None:
         self.node_ack[node] = ack
@@ -528,7 +553,7 @@ class Simulator:
         pid = payload.id
         if node == self.scenario.destination:
             # Direct delivery: the sender keeps its replica and budget untouched.
-            if not payload.expired(now) and ingest(payload, now, self.dest_state) is IngestResult.NEW:
+            if not payload.expired(now) and ingest(payload, self.dest_state) is IngestResult.NEW:
                 self._maybe_mark_base_delivery(pid, now)
         elif pid not in self.node_ack[node].delivered_ids:
             if self.stores[node].insert(StoredEntry(payload, meta), now) is InsertResult.STORED:
@@ -579,9 +604,7 @@ class Simulator:
         self.locked.difference_update(conn.locks)
         for node, ids in conn.pending.items():
             self.pending_inbound[node] -= ids
-        pair = (conn.a, conn.b)
-        if self.conns.get(pair) is conn:  # a nested up may have replaced it
-            del self.conns[pair]
+        del self.conns[(conn.a, conn.b)]
 
     # -- metrics -----------------------------------------------------------------
 

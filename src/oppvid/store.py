@@ -55,6 +55,8 @@ class NodeStore:
         self._expiry_heap: list[tuple[int, str, PayloadId]] = []
         self.last_sweep_at: float = 0.0
         self._changes = changes
+        # inventory() as last built; None once an entry or copy count changes.
+        self._inventory: list[tuple[PayloadId, int]] | None = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -78,6 +80,7 @@ class NodeStore:
         if entry.payload.id in self._entries:
             return InsertResult.DUPLICATE
         self._entries[entry.payload.id] = entry
+        self._inventory = None
         expiry = entry.payload.created_at + entry.payload.ttl_seconds
         heapq.heappush(self._expiry_heap, (expiry, entry.payload.id.canonical, entry.payload.id))
         return InsertResult.STORED
@@ -104,6 +107,8 @@ class NodeStore:
                 removed.append(entry)
                 if changes is not None:
                     changes.ids.add(pid)
+        if removed:
+            self._inventory = None
         return removed
 
     def apply_ack_entries(self, ack: Ack) -> list[StoredEntry]:
@@ -111,6 +116,8 @@ class NodeStore:
         if not ack.delivered_ids:
             return []
         removed = [e for pid, e in self._entries.items() if pid in ack.delivered_ids]
+        if removed:
+            self._inventory = None
         for entry in removed:
             del self._entries[entry.payload.id]
         if self._changes is not None:
@@ -118,9 +125,16 @@ class NodeStore:
         return removed
 
     def inventory(self) -> list[tuple[PayloadId, int]]:
-        """Stored ids with copy counts, highest copy count first, ties by id."""
-        items = [(pid, e.meta.copy_count) for pid, e in self._entries.items()]
-        items.sort(key=lambda t: (-t[1], t[0].canonical))
+        """Stored ids with copy counts, highest copy count first, ties by id.
+
+        The list is built once per change to the store and shared by every
+        caller until the next one, so callers must not mutate it.
+        """
+        items = self._inventory
+        if items is None:
+            items = [(pid, e.meta.copy_count) for pid, e in self._entries.items()]
+            items.sort(key=lambda t: (-t[1], t[0].canonical))
+            self._inventory = items
         return items
 
     def update_copy_count(self, pid: PayloadId, new_count: int) -> None:
@@ -135,3 +149,4 @@ class NodeStore:
             self._entries[pid] = StoredEntry(
                 entry.payload, RelayMetadata(new_count, entry.meta.traversed_nodes)
             )
+            self._inventory = None

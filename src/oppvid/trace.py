@@ -10,7 +10,8 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from operator import attrgetter
+from typing import Iterable, Sequence
 
 from .model import InvalidNodeIdError, validate_node_id
 
@@ -59,19 +60,40 @@ def _sort_events(events: list[ContactEvent]) -> list[ContactEvent]:
     return events
 
 
-def _check_pairing(events: list[ContactEvent]) -> None:
-    # A pair still up at end-of-trace is fine (the contact outlives the log);
-    # a down without a preceding up, or a nested up, is not.
+def check_pairing(events: Sequence[ContactEvent]) -> None:
+    """Raise ``TraceError`` at the first nested up, or down without an up
+    before it, taking ``events`` (in any order) by time with downs first at
+    equal times, the order a simulation handles them. A pair still up at
+    end-of-trace is fine: the contact outlives the log."""
+    up = ContactKind.UP
+    if not _in_order(events):
+        ordered = [e for e in events if e.kind is not up]
+        ordered += [e for e in events if e.kind is up]
+        ordered.sort(key=attrgetter("time"))  # stable: downs stay first
+        events = ordered
     open_pairs: set[tuple[str, str]] = set()
     for event in events:
-        if event.kind is ContactKind.UP:
-            if event.pair in open_pairs:
-                raise TraceError(f"nested up for pair {event.pair} at t={event.time}")
-            open_pairs.add(event.pair)
+        pair = (event.node_a, event.node_b)
+        if event.kind is up:
+            if pair in open_pairs:
+                raise TraceError(f"nested up for pair {pair} at t={event.time}")
+            open_pairs.add(pair)
+        elif pair in open_pairs:
+            open_pairs.remove(pair)
         else:
-            if event.pair not in open_pairs:
-                raise TraceError(f"down without up for pair {event.pair} at t={event.time}")
-            open_pairs.remove(event.pair)
+            raise TraceError(f"down without up for pair {pair} at t={event.time}")
+
+
+def _in_order(events: Sequence[ContactEvent]) -> bool:
+    """Whether ``events`` already run by time, downs first at equal times."""
+    up = ContactKind.UP
+    last_time, last_up = -1.0, False
+    for event in events:
+        time, is_up = event.time, event.kind is up
+        if time < last_time or (time == last_time and last_up and not is_up):
+            return False
+        last_time, last_up = time, is_up
+    return True
 
 
 def parse_trace(text: str) -> list[ContactEvent]:
@@ -93,7 +115,7 @@ def parse_trace(text: str) -> list[ContactEvent]:
         except TraceError as exc:
             raise TraceError(f"line {lineno}: {exc}") from None
     _sort_events(events)
-    _check_pairing(events)
+    check_pairing(events)
     return events
 
 
@@ -176,9 +198,7 @@ def generate_synthetic_trace(
                     events.append(ContactEvent(start_i, ContactKind.UP, a, b))
                     events.append(ContactEvent(end_i, ContactKind.DOWN, a, b))
                 t = end
-    _sort_events(events)
-    _check_pairing(events)
-    return events
+    return _sort_events(events)
 
 
 def remove_top_nodes(

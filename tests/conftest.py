@@ -30,6 +30,12 @@ def meta(copies: int = 8, path: tuple[str, ...] = ("n0",)) -> RelayMetadata:
     return RelayMetadata(copies, path)
 
 
+def sorted_inventory(store) -> list[tuple[PayloadId, int]]:
+    """A store's inventory built afresh from its entries, in inventory order."""
+    items = [(i, store.get(i).meta.copy_count) for i in store.ids()]
+    return sorted(items, key=lambda t: (-t[1], t[0].canonical))
+
+
 def random_scenario(seed: int) -> Scenario:
     """Acceptance criterion 1's randomized world: 3-20 nodes, mixed modes,
     copy budgets, TTLs and bandwidths, all drawn from ``seed``."""

@@ -212,7 +212,7 @@ def test_criterion_4_decodability_truth_table():
             state = DestinationState()
             for token in subset:
                 layer = None if token == "X" else int(token[1:])
-                ingest(Payload(PayloadId("src", 5, layer), 100, 0, 1000), 1.0, state)
+                ingest(Payload(PayloadId("src", 5, layer), 100, 0, 1000), state)
             assert decodable_quality(5, "src", state) == expected, f"subset {sorted(subset)}"
 
 

@@ -172,9 +172,9 @@ def test_packaged_segment_decodes_fully_iff_all_payloads_arrive():
     _, packaged = package_segment(4, 3, 0, 100, "src", "low", LayerSizeModel(), CFG)
     state = DestinationState()
     for p, _ in packaged[:-1]:  # withhold the extraction info
-        ingest(p, 1.0, state)
+        ingest(p, state)
     assert decodable_quality(4, "src", state) == 0
-    ingest(packaged[-1][0], 2.0, state)
+    ingest(packaged[-1][0], state)
     assert decodable_quality(4, "src", state) == 3
 
 

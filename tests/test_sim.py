@@ -13,7 +13,7 @@ import random
 import weakref
 
 import pytest
-from conftest import random_scenario
+from conftest import random_scenario, sorted_inventory
 
 from oppvid.adaptation import AdaptationConfig, LayerSizeModel
 from oppvid.model import Ack, Payload, PayloadId, RelayMetadata
@@ -29,7 +29,7 @@ from oppvid.sim import (
     verify_global_invariants,
 )
 from oppvid.store import StoredEntry
-from oppvid.trace import generate_synthetic_trace, parse_trace, trace_nodes
+from oppvid.trace import ContactEvent, ContactKind, generate_synthetic_trace, parse_trace, trace_nodes
 from oppvid.wire import AckMsg
 
 NO_SEGMENTS = AdaptationConfig(segment_period=10_000_000)
@@ -97,6 +97,64 @@ def test_contact_shorter_than_transfer_loses_payload_without_halving():
 def test_same_scenario_runs_identically():
     scenario = chain_scenario(CHAIN, adaptation=AdaptationConfig(segment_period=60))
     assert run(scenario) == run(scenario)
+
+
+# Priorities at equal times: arrivals, link downs, link ups, segment ticks, ACK ticks.
+_PRIORITY = {"msg": 0, "down": 1, "up": 2, "segment": 3, "ack": 4}
+
+
+def _static_events(scenario: Scenario) -> list[tuple[float, str, tuple]]:
+    """The events known before a run, as (time, kind, data), sorted by time,
+    priority and build order (trace order, then segment ticks, then ACK
+    ticks), cut at the duration."""
+    built = [(e.time, e.kind.value, (e.node_a, e.node_b)) for e in scenario.trace]
+    period, ack_period, duration = scenario.adaptation.segment_period, scenario.ack_period, scenario.duration
+    built += [(t, "segment", (i, t)) for i, t in enumerate(range(period, duration, period))]
+    built += [(t, "ack", (t,)) for t in range(ack_period, duration + 1, ack_period)]
+    order = sorted(range(len(built)), key=lambda i: (built[i][0], _PRIORITY[built[i][1]], i))
+    return [built[i] for i in order if built[i][0] <= duration]
+
+
+def written_trace(text: str) -> tuple[ContactEvent, ...]:
+    """Contact events in the order written, one ``<time> <a> <b> <up|down>``
+    per line; ``parse_trace`` would sort them."""
+    return tuple(ContactEvent(float(t), ContactKind(kind), a, b)
+                 for t, a, b, kind in map(str.split, text.strip().splitlines()))
+
+
+# Written out of order. At 1 byte/s every control frame takes whole seconds,
+# so arrivals land at 37 and 53 exactly, on the two link-downs.
+UNSORTED_TRACE = """
+90 b c down
+10 d e up
+53 a b down
+60 b c up
+37 d e down
+10 a b up
+"""
+
+
+def test_events_run_in_time_priority_and_build_order():
+    hand = Scenario(trace=written_trace(UNSORTED_TRACE), source="a", destination="c", ttl=100_000,
+                    bandwidth_bytes_per_sec=1.0, duration=120, adaptation=AdaptationConfig(segment_period=50),
+                    ack_period=30)
+    for scenario in [random_scenario(seed) for seed in range(20)] + [hand]:
+        stream = []
+        Simulator(scenario, on_event=lambda sim, kind, time, data: stream.append((time, kind, data))).run()
+        assert [e for e in stream if e[1] != "msg"] == _static_events(scenario)
+        keys = [(time, _PRIORITY[kind]) for time, kind, _ in stream]
+        assert keys == sorted(keys)
+    arrivals = {time for time, kind, _ in stream if kind == "msg"}
+    assert arrivals & {time for time, kind, _ in stream if kind == "down"} == {37.0, 53.0}
+
+
+def test_store_inventory_matches_a_fresh_sort_after_every_event():
+    def hook(sim, kind, time, data):
+        for store in sim.stores.values():
+            assert store.inventory() == sorted_inventory(store)
+
+    for seed in range(20):
+        Simulator(random_scenario(seed), on_event=hook).run()
 
 
 def test_ack_garbage_collects_relay_copies():
@@ -520,6 +578,23 @@ def test_scenario_error_names_every_broken_rule():
     assert [name for name, _ in info.value.problems] == ["ttl", "duration", "ack_period"]
     for name in ("ttl", "duration", "ack_period"):
         assert f"{name}: " in str(info.value)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("10 a b up\n10.0000001 a b up\n30 a b down\n40 b c up\n50 b c down",
+     "nested up for pair ('a', 'b') at t=10.0000001"),
+    ("40 b c up\n50 b c down\n20 a b down", "down without up for pair ('a', 'b') at t=20.0"),
+], ids=["nested-up", "down-without-up"])
+def test_scenario_rejects_broken_contact_pairing(text, message):
+    with pytest.raises(ScenarioError) as info:
+        Scenario(**{**API_SCENARIO, "trace": written_trace(text), "destination": "c"})
+    assert info.value.problems == (("trace", message),)
+
+
+def test_scenario_takes_a_paired_trace_in_any_order():
+    # At equal times the down counts first, wherever the trace lists it.
+    trace = written_trace("30 a b up\n40 a b down\n10 a b up\n30 a b down")
+    assert run(Scenario(**{**API_SCENARIO, "trace": trace}), check_invariants=True).contacts_used == 2
 
 
 def test_scenario_nodes_are_derived_and_stay_out_of_equality_and_repr():

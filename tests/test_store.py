@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 from oppvid.model import Ack
 from oppvid.store import InsertResult, MissingPayloadError, NodeStore, StoredEntry
 
-from conftest import meta, payload, pid
+from conftest import meta, payload, pid, sorted_inventory
 
 
 def entry(source="n0", segment=0, layer=0, size=1000, created_at=0, ttl=86400, copies=8):
@@ -144,6 +144,35 @@ def test_acked_id_never_listed_after_apply():
     store.insert(e, now=0)
     store.apply_ack_entries(Ack("dst", 5, frozenset({e.payload.id})))
     assert all(i != e.payload.id for i, _ in store.inventory())
+
+
+def test_inventory_is_rebuilt_after_each_change_and_kept_otherwise():
+    store = NodeStore()
+    a = entry(segment=1, ttl=100, copies=8)
+    b = entry(segment=2, ttl=200, copies=4)
+    c = entry(segment=3, ttl=300, copies=2)
+
+    def unchanged_by(mutate):
+        kept = store.inventory()
+        mutate()
+        assert store.inventory() is kept
+        assert kept == sorted_inventory(store)
+
+    def rebuilt_by(mutate):
+        before = list(store.inventory())
+        mutate()
+        assert store.inventory() == sorted_inventory(store) != before
+
+    rebuilt_by(lambda: store.insert(a, now=0))
+    rebuilt_by(lambda: store.insert(b, now=0))
+    unchanged_by(lambda: store.insert(StoredEntry(a.payload, meta(2, ("n0",))), now=0))
+    unchanged_by(lambda: store.expire_entries(50))
+    rebuilt_by(lambda: store.expire_entries(150))  # removes a
+    unchanged_by(lambda: store.apply_ack_entries(Ack("dst", 5, frozenset({pid("n9", 9, 9)}))))
+    rebuilt_by(lambda: store.insert(c, now=0))
+    rebuilt_by(lambda: store.apply_ack_entries(Ack("dst", 6, frozenset({c.payload.id}))))
+    unchanged_by(lambda: store.update_copy_count(b.payload.id, 4))
+    rebuilt_by(lambda: store.update_copy_count(b.payload.id, 2))
 
 
 @given(
