@@ -10,8 +10,7 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .model import InvalidNodeIdError, validate_node_id
 
@@ -60,19 +59,14 @@ def _sort_events(events: list[ContactEvent]) -> list[ContactEvent]:
     return events
 
 
-def check_pairing(events: Sequence[ContactEvent]) -> None:
+def check_pairing(events: Iterable[ContactEvent]) -> None:
     """Raise ``TraceError`` at the first nested up, or down without an up
     before it, taking ``events`` (in any order) by time with downs first at
     equal times, the order a simulation handles them. A pair still up at
     end-of-trace is fine: the contact outlives the log."""
     up = ContactKind.UP
-    if not _in_order(events):
-        ordered = [e for e in events if e.kind is not up]
-        ordered += [e for e in events if e.kind is up]
-        ordered.sort(key=attrgetter("time"))  # stable: downs stay first
-        events = ordered
     open_pairs: set[tuple[str, str]] = set()
-    for event in events:
+    for event in sorted(events, key=lambda e: (e.time, e.kind is up)):
         pair = (event.node_a, event.node_b)
         if event.kind is up:
             if pair in open_pairs:
@@ -82,18 +76,6 @@ def check_pairing(events: Sequence[ContactEvent]) -> None:
             open_pairs.remove(pair)
         else:
             raise TraceError(f"down without up for pair {pair} at t={event.time}")
-
-
-def _in_order(events: Sequence[ContactEvent]) -> bool:
-    """Whether ``events`` already run by time, downs first at equal times."""
-    up = ContactKind.UP
-    last_time, last_up = -1.0, False
-    for event in events:
-        time, is_up = event.time, event.kind is up
-        if time < last_time or (time == last_time and last_up and not is_up):
-            return False
-        last_time, last_up = time, is_up
-    return True
 
 
 def parse_trace(text: str) -> list[ContactEvent]:
