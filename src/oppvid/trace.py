@@ -16,7 +16,12 @@ from .model import InvalidNodeIdError, validate_node_id
 
 
 class TraceError(ValueError):
-    """Malformed trace text or broken up/down pairing."""
+    """Malformed trace text or broken up/down pairing; ``event`` is the
+    contact event a pairing rule broke at."""
+
+    def __init__(self, message: str, event: ContactEvent | None = None):
+        super().__init__(message)
+        self.event = event
 
 
 class ContactKind(Enum):
@@ -60,27 +65,34 @@ def _sort_events(events: list[ContactEvent]) -> list[ContactEvent]:
 
 
 def check_pairing(events: Iterable[ContactEvent]) -> None:
-    """Raise ``TraceError`` at the first nested up, or down without an up
-    before it, taking ``events`` (in any order) by time with downs first at
-    equal times, the order a simulation handles them. A pair still up at
+    """Raise ``TraceError`` at the first nested up, zero-length contact (an
+    up and a down of one pair at one time), or down without an up before it,
+    taking ``events`` (in any order) by time with downs first at equal times,
+    the order a simulation handles them. So a contact may end and the next
+    one of the pair begin at the same time, and a pair still up at
     end-of-trace is fine: the contact outlives the log."""
     up = ContactKind.UP
     open_pairs: set[tuple[str, str]] = set()
-    for event in sorted(events, key=lambda e: (e.time, e.kind is up)):
+    ordered = sorted(events, key=lambda e: (e.time, e.kind is up))
+    for index, event in enumerate(ordered):
         pair = (event.node_a, event.node_b)
         if event.kind is up:
             if pair in open_pairs:
-                raise TraceError(f"nested up for pair {pair} at t={event.time}")
+                raise TraceError(f"nested up for pair {pair} at t={event.time}", event)
             open_pairs.add(pair)
         elif pair in open_pairs:
             open_pairs.remove(pair)
+        elif any(e.time == event.time and e.kind is up and e.pair == pair for e in ordered[index + 1:]):
+            raise TraceError(f"zero-length contact for pair {pair} at t={event.time}: "
+                             "it goes up and down at the same time", event)
         else:
-            raise TraceError(f"down without up for pair {pair} at t={event.time}")
+            raise TraceError(f"down without up for pair {pair} at t={event.time}", event)
 
 
 def parse_trace(text: str) -> list[ContactEvent]:
     """Parse, sort, and validate a trace; errors carry the offending line number."""
     events: list[ContactEvent] = []
+    linenos: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -96,9 +108,13 @@ def parse_trace(text: str) -> list[ContactEvent]:
             events.append(ContactEvent(time, ContactKind(fields[4]), fields[2], fields[3]))
         except TraceError as exc:
             raise TraceError(f"line {lineno}: {exc}") from None
-    _sort_events(events)
-    check_pairing(events)
-    return events
+        linenos.append(lineno)
+    try:
+        check_pairing(events)
+    except TraceError as exc:
+        lineno = next(n for e, n in zip(events, linenos) if e is exc.event)
+        raise TraceError(f"line {lineno}: {exc}", exc.event) from None
+    return _sort_events(events)
 
 
 def format_trace(events: Iterable[ContactEvent]) -> str:

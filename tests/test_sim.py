@@ -584,7 +584,9 @@ def test_scenario_error_names_every_broken_rule():
     ("10 a b up\n10.0000001 a b up\n30 a b down\n40 b c up\n50 b c down",
      "nested up for pair ('a', 'b') at t=10.0000001"),
     ("40 b c up\n50 b c down\n20 a b down", "down without up for pair ('a', 'b') at t=20.0"),
-], ids=["nested-up", "down-without-up"])
+    ("40 b c up\n50 b c down\n10 a b down\n10 a b up",
+     "zero-length contact for pair ('a', 'b') at t=10.0: it goes up and down at the same time"),
+], ids=["nested-up", "down-without-up", "zero-length"])
 def test_scenario_rejects_broken_contact_pairing(text, message):
     with pytest.raises(ScenarioError) as info:
         Scenario(**{**API_SCENARIO, "trace": written_trace(text), "destination": "c"})

@@ -20,8 +20,8 @@ def test_parse_single_up_line():
 
 
 def test_down_without_up_is_pairing_error():
-    with pytest.raises(TraceError, match=r"\('a', 'b'\).*100|down without up"):
-        parse_trace("100 CONN a b down")
+    with pytest.raises(TraceError, match=r"line 2: down without up for pair \('a', 'b'\) at t=100.0"):
+        parse_trace("10 CONN a c up\n100 CONN a b down")
 
 
 def test_empty_input_is_empty_trace():
@@ -68,8 +68,25 @@ def test_contact_event_rejects_bad_values_when_built(time, a, b):
 
 
 def test_nested_up_rejected():
-    with pytest.raises(TraceError, match="nested"):
+    with pytest.raises(TraceError, match="line 2: nested"):
         parse_trace("10 CONN a b up\n20 CONN a b up")
+
+
+@pytest.mark.parametrize("text,lineno", [
+    ("5 CONN a c up\n10 CONN a b up\n10 CONN a b down", 3),
+    ("10 CONN b a down\n# the same contact, written up second\n10 CONN a b up", 1),
+    ("5 CONN a b up\n10 CONN a b down\n10 CONN a b up\n10 CONN a b down", 4),
+], ids=["up-first", "down-first", "after-a-contact"])
+def test_zero_length_contact_named_with_its_down_line(text, lineno):
+    message = "zero-length contact for pair ('a', 'b') at t=10.0: it goes up and down at the same time"
+    with pytest.raises(TraceError) as info:
+        parse_trace(text)
+    assert str(info.value) == f"line {lineno}: {message}"
+
+
+def test_back_to_back_contacts_stay_legal():
+    events = parse_trace("5 CONN a b up\n10 CONN a b up\n10 CONN a b down\n20 CONN a b down")
+    assert [(e.time, e.kind.value) for e in events] == [(5, "up"), (10, "down"), (10, "up"), (20, "down")]
 
 
 def test_contact_may_stay_open_past_end_of_trace():
