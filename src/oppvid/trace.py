@@ -74,7 +74,7 @@ def check_pairing(events: Iterable[ContactEvent]) -> None:
     up = ContactKind.UP
     open_pairs: set[tuple[str, str]] = set()
     ordered = sorted(events, key=lambda e: (e.time, e.kind is up))
-    for index, event in enumerate(ordered):
+    for event in ordered:
         pair = (event.node_a, event.node_b)
         if event.kind is up:
             if pair in open_pairs:
@@ -82,21 +82,25 @@ def check_pairing(events: Iterable[ContactEvent]) -> None:
             open_pairs.add(pair)
         elif pair in open_pairs:
             open_pairs.remove(pair)
-        elif any(e.time == event.time and e.kind is up and e.pair == pair for e in ordered[index + 1:]):
+        elif any(e.time == event.time and e.kind is up and e.pair == pair for e in ordered):
             raise TraceError(f"zero-length contact for pair {pair} at t={event.time}: "
                              "it goes up and down at the same time", event)
         else:
             raise TraceError(f"down without up for pair {pair} at t={event.time}", event)
 
 
+def _event_lines(text: str):
+    """(line number, line, stripped line) of each line that is not blank or a comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, raw, line
+
+
 def parse_trace(text: str) -> list[ContactEvent]:
     """Parse, sort, and validate a trace; errors carry the offending line number."""
     events: list[ContactEvent] = []
-    linenos: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, raw, line in _event_lines(text):
         fields = line.split()
         if len(fields) != 5 or fields[1] != "CONN" or fields[4] not in ("up", "down"):
             raise TraceError(f"line {lineno}: expected '<time> CONN <id1> <id2> <up|down>', got {raw!r}")
@@ -108,11 +112,11 @@ def parse_trace(text: str) -> list[ContactEvent]:
             events.append(ContactEvent(time, ContactKind(fields[4]), fields[2], fields[3]))
         except TraceError as exc:
             raise TraceError(f"line {lineno}: {exc}") from None
-        linenos.append(lineno)
     try:
         check_pairing(events)
     except TraceError as exc:
-        lineno = next(n for e, n in zip(events, linenos) if e is exc.event)
+        # The k-th event came from the k-th event line.
+        lineno = next(n for e, (n, _, _) in zip(events, _event_lines(text)) if e is exc.event)
         raise TraceError(f"line {lineno}: {exc}", exc.event) from None
     return _sort_events(events)
 
