@@ -6,19 +6,26 @@ single (time, priority, sequence) point by its kind's one handler, so a
 scenario (including its seed) maps to exactly one run. The events known
 before the run (link ups and downs, segment and ACK ticks) sit in one list
 sorted latest first; a heap holds only the messages in flight, numbered
-after them, and each step takes the earlier of the two heads. Each store
-hands every INVENTORY and REQUEST the same sorted inventory list until its
-entries next change (``NodeStore.inventory``). ACK ticks and
-link-ups sweep only the relay stores whose earliest expiry has passed; a
-store with nothing due keeps its ``last_sweep_at``. Every action an engine
-emits is applied in one place, ``Simulator._apply_actions``. Copy-count
-conservation is tracked exactly: for every payload the relay-side sum must
-equal the initial budget minus copies lost to TTL expiry or ACK deletion,
-and a relayed share is booked lost at the sender's commit and found again
-when the receiver stores it. A checked run verifies the invariants per event
-on what changed (the payload ids the event touched, the stores it swept, the
-destination's ACK if it was replaced), and runs the full scan,
-``verify_global_invariants``, at the end of the run.
+after them, and each step takes the earlier of the two heads. Most
+contacts move no payload; one whose handshake nothing else can interleave
+with is settled at its link-up in one step (``_settle_quiet_contact``):
+both ACK merges, both empty request lists and both graceful-end stamps, from
+the engines' own ``merge_ack`` and ``compute_request_list`` and the same
+arrival arithmetic as a scheduled message. Any other contact, or one where
+a side wants a payload, runs on two ``ConnectionEngine``s message by
+message. Each store hands every INVENTORY and REQUEST the same sorted
+inventory list until its entries next change (``NodeStore.inventory``).
+ACK ticks and link-ups sweep only the relay stores whose earliest expiry
+has passed; a store with nothing due keeps its ``last_sweep_at``. Every
+action an engine emits is applied in one place,
+``Simulator._apply_actions``. Copy-count conservation is tracked exactly:
+for every payload the relay-side sum must equal the initial budget minus
+copies lost to TTL expiry or ACK deletion, and a relayed share is booked
+lost at the sender's commit and found again when the receiver stores it.
+A checked run verifies the invariants per event on what changed (the
+payload ids the event touched, the stores it swept, the destination's ACK
+if it was replaced), and runs the full scan, ``verify_global_invariants``,
+at the end of the run.
 """
 from __future__ import annotations
 
@@ -49,11 +56,13 @@ from .protocol import (
     Phase,
     SendMessage,
     TransferFinished,
+    compute_request_list,
+    merge_ack,
     should_connect,
 )
 from .store import ChangeLog, InsertResult, NodeStore, StoredEntry
 from .trace import ContactEvent, ContactKind, TraceError, check_pairing, trace_nodes
-from .wire import PayloadMsg, RequestMsg, transmission_size
+from .wire import AckMsg, CompleteMsg, InventoryMsg, PayloadMsg, RequestMsg, transmission_size
 
 
 class ScenarioError(ValueError):
@@ -202,6 +211,15 @@ _PRIO_DOWN = 1
 _PRIO_UP = 2
 _PRIO_SEGMENT = 3
 _PRIO_ACK = 4
+
+# Bytes on the link of the two messages every quiet contact ends with.
+_EMPTY_REQUEST_BYTES = transmission_size(RequestMsg(()))
+_COMPLETE_BYTES = transmission_size(CompleteMsg())
+
+
+def _arrival(start: float, size: int, bandwidth: float) -> float:
+    """When ``size`` bytes have fully arrived, if the first leaves at ``start``."""
+    return start + size / bandwidth
 
 
 @dataclass
@@ -414,16 +432,66 @@ class Simulator:
                 self._sweep(store, now)
         if not (should_connect(b, now, self.recents[a]) and should_connect(a, now, self.recents[b])):
             return
-        conn = _Connection(a, b)
+        self.contacts_used += 1
         initiator = min(a, b)
+        responder = b if initiator == a else a
+        if self._settle_quiet_contact(initiator, responder, now):
+            return
+        conn = _Connection(a, b)
         for node in (a, b):
             conn.engines[node] = ConnectionEngine(
                 self.views[node], peer=conn.peer[node], is_initiator=node == initiator
             )
         self.conns[data] = conn
-        self.contacts_used += 1
-        for node in (initiator, conn.peer[initiator]):
+        for node in (initiator, responder):
             self._step_engine(conn, node, Connected(conn.peer[node]), now)
+
+    def _settle_quiet_contact(self, i: str, r: str, now: float) -> bool:
+        """End a contact that moves no payload gracefully, in one step, if
+        nothing else can interleave with it; False, with nothing applied, if
+        it cannot be settled so.
+
+        With both request lists empty, initiator ``i`` and responder ``r``
+        send ACK, INVENTORY, an empty REQUEST and COMPLETE each way: their
+        INVENTORYs land at ``a2`` and ``b2``; each REQUEST leaves when the
+        peer's INVENTORY lands, so both land at ``c``; ``i``'s COMPLETE ends
+        ``r`` at ``d`` and ``r``'s ends ``i`` at ``e``. Nothing interleaves
+        when ``e`` is within the run, no timeline event comes before ``e``
+        (messages go first at equal times), and no message is in flight
+        until after ``e`` (one at ``e`` was numbered earlier and goes first).
+        """
+        view_i, view_r = self.views[i], self.views[r]
+        ack_i, ack_r = view_i.current_ack(), view_r.current_ack()
+        # Each INVENTORY is built at link-up, before either ACK is adopted.
+        inventory_i, inventory_r = view_i.inventory(), view_r.inventory()
+        merged_i, changed_i = merge_ack(ack_i, ack_r)
+        merged_r, changed_r = merge_ack(ack_r, ack_i)
+        destination = self.scenario.destination
+        if compute_request_list(inventory_r, view_i.local_ids() | view_i.pending_inbound_ids(),
+                                merged_i.delivered_ids, i == destination):
+            return False
+        if compute_request_list(inventory_i, view_r.local_ids() | view_r.pending_inbound_ids(),
+                                merged_r.delivered_ids, r == destination):
+            return False
+        bandwidth = self.scenario.bandwidth_bytes_per_sec
+        a1 = _arrival(now, transmission_size(AckMsg(ack_i)), bandwidth)
+        a2 = _arrival(a1, transmission_size(InventoryMsg(inventory_i)), bandwidth)
+        b1 = _arrival(now, transmission_size(AckMsg(ack_r)), bandwidth)
+        b2 = _arrival(b1, transmission_size(InventoryMsg(inventory_r)), bandwidth)
+        c = _arrival(a2 if a2 > b2 else b2, _EMPTY_REQUEST_BYTES, bandwidth)
+        d = _arrival(c, _COMPLETE_BYTES, bandwidth)
+        e = _arrival(d, _COMPLETE_BYTES, bandwidth)
+        timeline, heap = self._timeline, self._heap
+        if (e > self.scenario.duration or (timeline and timeline[-1][0] < e)
+                or (heap and heap[0][0] <= e)):
+            return False
+        if changed_r:
+            self._adopt_ack(r, merged_r)
+        if changed_i:
+            self._adopt_ack(i, merged_i)
+        self.recents[r][i] = d
+        self.recents[i][r] = e
+        return True
 
     def _on_down(self, now: float, data: tuple) -> None:
         conn = self.conns.get(data)
@@ -518,7 +586,7 @@ class Simulator:
     def _schedule_message(self, conn: _Connection, sender: str, msg, now: float) -> None:
         busy = conn.busy_until
         start = busy[sender] if busy[sender] > now else now
-        arrival = start + transmission_size(msg) / self.scenario.bandwidth_bytes_per_sec
+        arrival = _arrival(start, transmission_size(msg), self.scenario.bandwidth_bytes_per_sec)
         busy[sender] = arrival
         if type(msg) is PayloadMsg:
             key = (sender, msg.payload.id)

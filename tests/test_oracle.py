@@ -8,15 +8,18 @@ node's graceful-contact stamps and ACK, every store's (id, copy count) pairs,
 and the non-zero lost-copy ledger. The draws put event times on a coarse
 grid and use bandwidths up to 1e18 B/s, so that events and message arrivals
 tie, and use tiny layers and copy budgets so that contacts overlap and move
-payloads.
+payloads. The hand-made worlds after them hold the one-step contact's guard
+at its equal-time edges, and the store changes an INVENTORY must show.
 """
 from __future__ import annotations
 
 import dataclasses
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import oppvid
@@ -95,7 +98,8 @@ def outcome(pkg, world: World):
     return dict(
         metrics=dataclasses.astuple(metrics),
         recents={n: dict(getattr(r, "_last", r)) for n, r in sim.recents.items()},
-        acks={n: (a.timestamp, sorted(p.canonical for p in a.delivered_ids)) for n, a in sim.node_ack.items()},
+        acks={n: (a.timestamp, sorted(p.canonical for p in a.delivered_ids))
+              for n, a in sim.node_ack.items()},
         stores={n: sorted((p.canonical, e.meta.copy_count) for p, e in s._entries.items())
                 for n, s in sim.stores.items()},
         lost={p.canonical: n for p, n in sim.lost_copies.items() if n},
@@ -115,7 +119,8 @@ def worlds(draw) -> World:
     grid = draw(st.sampled_from([5, 30, 120]))
     duration = grid * draw(st.sampled_from([20, 60]))
     # Both endpoints must meet someone.
-    pairs = [(0, draw(st.integers(1, nodes - 1))), (1, draw(st.sampled_from([0] + list(range(2, nodes)))))]
+    pairs = [(0, draw(st.integers(1, nodes - 1))),
+             (1, draw(st.sampled_from([0] + list(range(2, nodes)))))]
     pairs += draw(st.lists(st.tuples(st.integers(0, nodes - 1), st.integers(0, nodes - 1))
                            .filter(lambda p: p[0] != p[1]), min_size=4, max_size=30))
     order = draw(st.permutations(range(len(pairs))))
@@ -149,3 +154,137 @@ def worlds(draw) -> World:
 @given(worlds())
 def test_program_runs_every_drawn_world_as_the_reference_does(world):
     assert_same_run(world)
+
+
+# Hand-made worlds for the one-step contact's guard. n01 (the destination)
+# and n02 meet at 100 with nothing to move, at 7 B/s: each 21-byte empty ACK
+# takes 3 s and each 8-byte empty INVENTORY 8/7 s, so both handshakes land at
+# A2; both empty REQUESTs at C; n01's COMPLETE ends n02 at D (105.857...) and
+# n02's COMPLETE ends n01 at E (106.428...).
+A2 = (100 + 21 / 7) + 8 / 7
+C = A2 + 8 / 7
+D = C + 4 / 7
+E = D + 4 / 7
+SOURCE_ELSEWHERE = ((200, "n00", "n03", "up"), (300, "n00", "n03", "down"))
+
+
+def quiet_contact(down: float, **fields) -> World:
+    contacts = ((100, "n01", "n02", "up"), (down, "n01", "n02", "down")) + SOURCE_ELSEWHERE
+    return World(**{"contacts": contacts, "bandwidth": 7.0, "duration": 400, "ack_period": 1000,
+                    **fields})
+
+
+def run_counting_messages(world: World):
+    """Our run of ``world`` and the number of message events it handled."""
+    kinds = []
+    sim = oppvid.sim.Simulator(build(oppvid, world), check_invariants=True,
+                               on_event=lambda _sim, kind, _time, _data: kinds.append(kind))
+    sim.run()
+    return sim, kinds.count("msg")
+
+
+def test_quiet_contact_ending_with_its_own_link_down_is_settled_in_one_step():
+    # Messages go first at equal times, so the link-down at E comes after the
+    # last COMPLETE and both sides end gracefully.
+    assert (D, E) == (pytest.approx(105.857142857), pytest.approx(106.428571428))
+    sim, messages = run_counting_messages(quiet_contact(E))
+    assert messages == 0
+    assert sim.recents["n02"] == {"n01": D}
+    assert sim.recents["n01"] == {"n02": E}
+    assert_same_run(quiet_contact(E))
+
+
+def test_quiet_contact_cut_just_before_its_end_runs_on_the_engines():
+    down = math.nextafter(E, 0)
+    sim, messages = run_counting_messages(quiet_contact(down))
+    assert messages > 0
+    assert sim.recents["n02"] == {"n01": D}
+    assert sim.recents["n01"] == {}  # its COMPLETE was still in the air: an abrupt end
+    assert_same_run(quiet_contact(down))
+
+
+@pytest.mark.parametrize("tick", [dict(segment_period=105), dict(ack_period=105)],
+                         ids=["segment", "ack"])
+def test_a_tick_inside_the_handshake_sends_the_contact_to_the_engines(tick):
+    world = quiet_contact(200, **tick)
+    sim, messages = run_counting_messages(world)
+    assert messages >= 8
+    assert sim.recents["n02"] == {"n01": D} and sim.recents["n01"] == {"n02": E}
+    assert_same_run(world)
+
+
+def payload_contact(down: float) -> World:
+    """n00 meets n02 at 60, after the source's first segment (one 2-byte layer) is out."""
+    return World(contacts=((60, "n00", "n02", "up"), (down, "n00", "n02", "down"),
+                           (95, "n01", "n02", "up"), (99, "n01", "n02", "down")),
+                 bandwidth=7.0, duration=99, ack_period=1000, segment_period=50,
+                 mode="fixed:low", base_bytes=2)
+
+
+def test_a_contact_that_wants_a_payload_runs_on_the_engines():
+    sim, messages = run_counting_messages(payload_contact(90))
+    assert messages > 8
+    assert sim.relay_transmissions == 1
+    assert assert_same_run(payload_contact(90))["stores"]["n02"] == [("n00_s0_L0", 4)]
+
+
+def test_a_contact_whose_last_message_lands_on_its_link_down_ends_gracefully():
+    # Messages go first at equal times, so n02's COMPLETE, the contact's last
+    # message, still counts when the link goes down as it lands.
+    end = run_counting_messages(payload_contact(90))[0].recents["n00"]["n02"]
+    sim, _ = run_counting_messages(payload_contact(end))
+    assert sim.recents["n00"] == {"n02": end}
+    assert_same_run(payload_contact(end))
+
+
+def test_a_message_in_flight_at_the_responder_sends_the_contact_to_the_engines():
+    # At 1 B/s. n00 delivers its payload P to n01 at 1010-1300 and keeps its
+    # copies; the ACK tick at 1200 acknowledges P, and n02 takes that ACK
+    # from n01 at 1300. n00 meets n03 at 1500: n00's INVENTORY, listing P,
+    # reaches n03 at 1544. n02 meets n03 at 1530, a quiet contact, but its
+    # ACK reaches n03 only at 1562. Until then n03 holds the old ACK, so it
+    # asks n00 for P, and P is sent. Settling n02-n03 at 1530 would hand n03
+    # the ACK early and nothing would be sent.
+    world = World(contacts=((1010, "n00", "n01", "up"), (1300, "n00", "n01", "down"),
+                            (1300, "n01", "n02", "up"), (1400, "n01", "n02", "down"),
+                            (1500, "n00", "n03", "up"), (1700, "n00", "n03", "down"),
+                            (1530, "n02", "n03", "up"), (1700, "n02", "n03", "down")),
+                  bandwidth=1.0, duration=2000, ack_period=1200, segment_period=1000,
+                  mode="fixed:low", base_bytes=2)
+    sim, _ = run_counting_messages(world)
+    assert sim.relay_transmissions == 2  # n00 to n01, then n00 to n03
+    assert sim.recents["n03"]["n02"] > 1530
+    assert_same_run(world)
+
+
+def test_a_payload_purged_by_an_ack_leaves_the_next_inventory():
+    # At 1 B/s. n00 delivers P to n01 at 1010-1300 and keeps it; the ACK tick
+    # at 1200 acknowledges P; n02 takes that ACK from n01 at 1300 and hands
+    # it to n00 at 1500, which drops P. So n00's INVENTORY to n03 at 1700 is
+    # empty, and a stale one listing P would end the contact later.
+    world = World(contacts=((1010, "n00", "n01", "up"), (1300, "n00", "n01", "down"),
+                            (1300, "n01", "n02", "up"), (1400, "n01", "n02", "down"),
+                            (1500, "n00", "n02", "up"), (1600, "n00", "n02", "down"),
+                            (1700, "n00", "n03", "up"), (1900, "n00", "n03", "down")),
+                  bandwidth=1.0, duration=2000, ack_period=1200, segment_period=1000,
+                  mode="fixed:low", base_bytes=2)
+    ours = assert_same_run(world)
+    assert ours["stores"]["n00"] == []
+    # n00's ACK, listing P, takes 32 s and its empty INVENTORY 8 s; then come
+    # the empty REQUESTs and the two COMPLETEs.
+    assert ours["recents"]["n00"]["n03"] == 1700 + 32 + 8 + 8 + 4 + 4
+
+
+def test_a_halved_copy_count_shows_in_the_next_inventory():
+    # At 1 B/s, with a budget of 2. n00 relays P to n02 at 1010 and keeps one
+    # copy, so its INVENTORY to n03 at 1300 lists P at 1, which a relay does
+    # not ask for: a quiet contact. n00's 23-byte INVENTORY lands at 1344,
+    # after n03's at 1329; then come the empty REQUESTs and the COMPLETEs.
+    world = World(contacts=((1010, "n00", "n02", "up"), (1200, "n00", "n02", "down"),
+                            (1300, "n00", "n03", "up"), (1500, "n00", "n03", "down"),
+                            (1600, "n01", "n02", "up"), (1700, "n01", "n02", "down")),
+                  bandwidth=1.0, duration=2000, segment_period=1000, copies=2,
+                  mode="fixed:low", base_bytes=2)
+    ours = assert_same_run(world)
+    assert ours["stores"]["n00"] == [("n00_s0_L0", 1)]
+    assert ours["recents"]["n00"]["n03"] == 1300 + 21 + 23 + 8 + 4 + 4
