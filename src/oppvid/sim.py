@@ -15,9 +15,12 @@ arrival arithmetic as a scheduled message. Any other contact, or one where
 a side wants a payload, runs on two ``ConnectionEngine``s message by
 message. Each store hands every INVENTORY and REQUEST the same sorted
 inventory list until its entries next change (``NodeStore.inventory``).
-ACK ticks and link-ups sweep only the relay stores whose earliest expiry
-has passed; a store with nothing due keeps its ``last_sweep_at``. Every
-action an engine emits is applied in one place,
+One-step contacts size a node's ACK and INVENTORY once per Ack object and
+inventory list; both are replaced, never mutated. ACK ticks and link-ups
+sweep nothing until a world-wide expiry floor, lowered by every insert and
+raised by a tick that passes it, has passed; then only the stores with an
+expiry due, so a store with nothing due keeps its ``last_sweep_at``.
+Every action an engine emits is applied in one place,
 ``Simulator._apply_actions``. Copy-count conservation is tracked exactly:
 for every payload the relay-side sum must equal the initial budget minus
 copies lost to TTL expiry or ACK deletion, and a relayed share is booked
@@ -215,11 +218,24 @@ _PRIO_ACK = 4
 # Bytes on the link of the two messages every quiet contact ends with.
 _EMPTY_REQUEST_BYTES = transmission_size(RequestMsg(()))
 _COMPLETE_BYTES = transmission_size(CompleteMsg())
+# The destination's inventory: one shared list, so its size memo hits too.
+_NO_INVENTORY: list[tuple[PayloadId, int]] = []
 
 
 def _arrival(start: float, size: int, bandwidth: float) -> float:
     """When ``size`` bytes have fully arrived, if the first leaves at ``start``."""
     return start + size / bandwidth
+
+
+def _memo_size(memo: dict, node: str, key, make) -> int:
+    """``transmission_size(make(key))``, kept per node while ``key`` is the
+    very object last sized there."""
+    hit = memo.get(node)
+    if hit is not None and hit[0] is key:
+        return hit[1]
+    size = transmission_size(make(key))
+    memo[node] = (key, size)
+    return size
 
 
 @dataclass
@@ -265,7 +281,7 @@ class _NodeView:
         return self._acks[self.node_id]
 
     def inventory(self) -> list[tuple[PayloadId, int]]:
-        return [] if self._store is None else self._store.inventory()
+        return _NO_INVENTORY if self._store is None else self._store.inventory()
 
     def local_ids(self) -> set[PayloadId]:
         return self._received if self._store is None else self._store.ids()
@@ -321,6 +337,12 @@ class Simulator:
         # received; a connection's own share is in its ``pending``.
         self.pending_inbound: dict[str, set[PayloadId]] = {n: set() for n in nodes}
         self.views = {n: _NodeView(self, n) for n in nodes}
+        # Each node's (Ack, bytes) and (inventory list, bytes) as last sized.
+        self._ack_bytes: dict[str, tuple[Ack, int]] = {}
+        self._inventory_bytes: dict[str, tuple[list, int]] = {}
+        # At or below every relay store's next_expiry(): lowered by _insert,
+        # raised by an ACK tick that finds it passed.
+        self._expiry_floor: float = math.inf
 
         # Conservation ledger: initial replica budget and copies lost to
         # TTL/ACK deletion per payload id.
@@ -367,7 +389,7 @@ class Simulator:
     def seed_payload(self, payload: Payload, meta: RelayMetadata, at: str | None = None) -> None:
         """Plant a replica directly (test/debug harness)."""
         node = at if at is not None else self.scenario.source
-        result = self.stores[node].insert(StoredEntry(payload, meta), self.now)
+        result = self._insert(node, StoredEntry(payload, meta), self.now)
         if result is not InsertResult.STORED:
             raise ScenarioError(f"could not seed payload {payload.id}: {result.value}")
         self.initial_copies[payload.id] = meta.copy_count
@@ -426,10 +448,11 @@ class Simulator:
 
     def _on_up(self, now: float, data: tuple) -> None:
         a, b = data
-        for node in data:
-            store = self.stores.get(node)
-            if store is not None and store.next_expiry() < now:
-                self._sweep(store, now)
+        if self._expiry_floor < now:
+            for node in data:
+                store = self.stores.get(node)
+                if store is not None and store.next_expiry() < now:
+                    self._sweep(store, now)
         if not (should_connect(b, now, self.recents[a]) and should_connect(a, now, self.recents[b])):
             return
         self.contacts_used += 1
@@ -467,17 +490,21 @@ class Simulator:
         merged_i, changed_i = merge_ack(ack_i, ack_r)
         merged_r, changed_r = merge_ack(ack_r, ack_i)
         destination = self.scenario.destination
-        if compute_request_list(inventory_r, view_i.local_ids() | view_i.pending_inbound_ids(),
-                                merged_i.delivered_ids, i == destination):
+        # An empty inventory offers nothing to request.
+        if inventory_r and compute_request_list(
+                inventory_r, view_i.local_ids() | view_i.pending_inbound_ids(),
+                merged_i.delivered_ids, i == destination):
             return False
-        if compute_request_list(inventory_i, view_r.local_ids() | view_r.pending_inbound_ids(),
-                                merged_r.delivered_ids, r == destination):
+        if inventory_i and compute_request_list(
+                inventory_i, view_r.local_ids() | view_r.pending_inbound_ids(),
+                merged_r.delivered_ids, r == destination):
             return False
         bandwidth = self.scenario.bandwidth_bytes_per_sec
-        a1 = _arrival(now, transmission_size(AckMsg(ack_i)), bandwidth)
-        a2 = _arrival(a1, transmission_size(InventoryMsg(inventory_i)), bandwidth)
-        b1 = _arrival(now, transmission_size(AckMsg(ack_r)), bandwidth)
-        b2 = _arrival(b1, transmission_size(InventoryMsg(inventory_r)), bandwidth)
+        acks, inventories = self._ack_bytes, self._inventory_bytes
+        a1 = _arrival(now, _memo_size(acks, i, ack_i, AckMsg), bandwidth)
+        a2 = _arrival(a1, _memo_size(inventories, i, inventory_i, InventoryMsg), bandwidth)
+        b1 = _arrival(now, _memo_size(acks, r, ack_r, AckMsg), bandwidth)
+        b2 = _arrival(b1, _memo_size(inventories, r, inventory_r, InventoryMsg), bandwidth)
         c = _arrival(a2 if a2 > b2 else b2, _EMPTY_REQUEST_BYTES, bandwidth)
         d = _arrival(c, _COMPLETE_BYTES, bandwidth)
         e = _arrival(d, _COMPLETE_BYTES, bandwidth)
@@ -526,20 +553,40 @@ class Simulator:
             packaged = [(Payload(pid, size, t, scenario.ttl), RelayMetadata(cfg.initial_copy_count, (source,)))]
             layers_sent = 1
         for payload, meta in packaged:
-            self.stores[source].insert(StoredEntry(payload, meta), float(t))
+            self._insert(source, StoredEntry(payload, meta), float(t))
             self.initial_copies[payload.id] = meta.copy_count
         self.segment_infos[index] = _SegmentInfo(t, layers_sent, tuple(p.id for p, _ in packaged))
 
     def _on_ack_tick(self, now: float, data: tuple) -> None:
-        """A new cumulative ACK, then a sweep of each relay store with an expiry due."""
+        """A new cumulative ACK; then, if the expiry floor has passed, a sweep
+        of each relay store with an expiry due and a new floor: the least
+        ``next_expiry()`` if none was due, else ``now`` (asking a swept store
+        again costs more than the ticks it would skip)."""
         (t,) = data
         ack = generate_ack(t, self.scenario.destination, self.dest_state)
         self.node_ack[self.scenario.destination] = ack
-        for store in self.stores.values():
-            if store.next_expiry() < now:
-                self._sweep(store, now)
+        if self._expiry_floor < now:
+            floor = math.inf
+            for store in self.stores.values():
+                expiry = store.next_expiry()
+                if expiry < floor:  # floor >= now, so a due store gets here
+                    if expiry < now:
+                        self._sweep(store, now)
+                        expiry = now
+                    floor = expiry
+            self._expiry_floor = floor
 
     # -- world mechanics -------------------------------------------------------
+
+    def _insert(self, node: str, entry: StoredEntry, now: float) -> InsertResult:
+        """Every store insert: a stored entry lowers the expiry floor."""
+        result = self.stores[node].insert(entry, now)
+        if result is InsertResult.STORED:
+            payload = entry.payload
+            expiry = payload.created_at + payload.ttl_seconds
+            if expiry < self._expiry_floor:
+                self._expiry_floor = expiry
+        return result
 
     def _sweep(self, store: NodeStore, now: float) -> None:
         for entry in store.expire_entries(now):
@@ -624,7 +671,7 @@ class Simulator:
             if not payload.expired(now) and ingest(payload, self.dest_state) is IngestResult.NEW:
                 self._maybe_mark_base_delivery(pid, now)
         elif pid not in self.node_ack[node].delivered_ids:
-            if self.stores[node].insert(StoredEntry(payload, meta), now) is InsertResult.STORED:
+            if self._insert(node, StoredEntry(payload, meta), now) is InsertResult.STORED:
                 self._lose(pid, -meta.copy_count)
 
     def _commit(self, node: str, pid: PayloadId, keeps: int) -> None:

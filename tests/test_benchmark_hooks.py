@@ -44,8 +44,9 @@ def test_tracer_finds_every_wrap_point_and_sees_the_history():
 # path keeps every store and destination change, so those must not move;
 # sweeps may only get fewer. Engine steps, inventory reads, message sizing
 # and message events are the event path's own work: contacts that move no
-# payload are settled at link-up without their 8 messages.
-PINNED_CALLS = {"protocol.step": 433, "wire.transmission_size": 941, "wire.encoded_size": 941,
+# payload are settled at link-up without their 8 messages, and size each
+# node's ACK and INVENTORY only when that Ack or inventory list is new.
+PINNED_CALLS = {"protocol.step": 433, "wire.transmission_size": 472, "wire.encoded_size": 472,
                 "store.inventory": 441, "store.insert": 74, "store.update_copy_count": 36,
                 "store.apply_ack_entries": 109, "destination.ingest": 30}
 PINNED_EVENTS = {"msg": 301, "up": 212, "down": 212, "segment": 19, "ack": 20}

@@ -8,8 +8,11 @@ node's graceful-contact stamps and ACK, every store's (id, copy count) pairs,
 and the non-zero lost-copy ledger. The draws put event times on a coarse
 grid and use bandwidths up to 1e18 B/s, so that events and message arrivals
 tie, and use tiny layers and copy budgets so that contacts overlap and move
-payloads. The hand-made worlds after them hold the one-step contact's guard
-at its equal-time edges, and the store changes an INVENTORY must show.
+payloads. A second family is long and sparse at 1 B/s, with many contacts
+with the destination that overlap another handshake of the same relay, so
+that ACKs arrive while other messages are in the air. The hand-made worlds
+after them hold the one-step contact's guard at its equal-time edges, the
+store changes an INVENTORY must show, and the expiry floor's three edges.
 """
 from __future__ import annotations
 
@@ -156,6 +159,47 @@ def test_program_runs_every_drawn_world_as_the_reference_does(world):
     assert_same_run(world)
 
 
+@st.composite
+def slow_worlds(draw) -> World:
+    """Long, sparse worlds at 1 B/s. The source meets relays often, and a
+    relay often meets the destination up to three grid steps after another
+    contact of its own begins, so the destination's ACK can reach it while
+    that contact's handshake is still in the air."""
+    nodes = draw(st.integers(3, 6))
+    names = [f"n{i:02d}" for i in range(nodes)]
+    grid, steps = 30, draw(st.sampled_from([240, 400]))
+    cursor: dict[tuple[str, str], int] = {}
+    contacts = []
+
+    def meet(x: int, y: int, at: int) -> None:
+        a, b = sorted((names[x], names[y]))
+        up = max(cursor.get((a, b), 0), at)
+        cursor[(a, b)] = up + grid * draw(st.integers(3, 12))
+        contacts.extend([(up, a, b, "up"), (cursor[(a, b)], a, b, "down")])
+
+    meet(0, 1, grid * draw(st.integers(0, steps // 4)))
+    for _ in range(draw(st.integers(10, 60))):
+        at = grid * draw(st.integers(0, steps))
+        x = draw(st.sampled_from([0, 0, 1] + list(range(2, nodes))))
+        y = draw(st.sampled_from([n for n in range(nodes) if n != x]))
+        meet(x, y, at)
+        relay = y if x in (0, 1) else x
+        if relay != 1 and draw(st.integers(0, 3)) > 0:
+            meet(relay, 1, at + grid * draw(st.integers(0, 3)))
+    return World(contacts=tuple(contacts), bandwidth=1.0, duration=grid * steps,
+                 ttl=draw(st.sampled_from([100_000, 3000])), ack_period=draw(st.sampled_from([150, 300])),
+                 copies=draw(st.sampled_from([8, 8, 2, 3])), segment_period=draw(st.sampled_from([1200, 2400])),
+                 lookbacks=(60, 120, 240), initial_layers=draw(st.integers(1, 4)),
+                 mode=draw(st.sampled_from(["fixed:low", "fixed:low", "adaptive"])),
+                 base_bytes=2, enhancement_ratio=1.0, extraction_bytes=1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(slow_worlds())
+def test_program_runs_every_slow_sparse_world_as_the_reference_does(world):
+    assert_same_run(world)
+
+
 # Hand-made worlds for the one-step contact's guard. n01 (the destination)
 # and n02 meet at 100 with nothing to move, at 7 B/s: each 21-byte empty ACK
 # takes 3 s and each 8-byte empty INVENTORY 8/7 s, so both handshakes land at
@@ -288,3 +332,70 @@ def test_a_halved_copy_count_shows_in_the_next_inventory():
     ours = assert_same_run(world)
     assert ours["stores"]["n00"] == [("n00_s0_L0", 1)]
     assert ours["recents"]["n00"]["n03"] == 1300 + 21 + 23 + 8 + 4 + 4
+
+
+# Hand-made worlds for the expiry floor, at 1 B/s with one 2-byte layer per
+# segment. Every insert lowers the floor; an ACK tick that finds it passed
+# sweeps what is due and makes it exact; a link-up sweeps its two stores
+# only once it has passed.
+def sweeps_of(world: World) -> list[tuple[float, str]]:
+    """(time, node) of every store sweep in our run of ``world``."""
+    seen: dict[str, float] = {}
+    sweeps = []
+
+    def hook(sim, _kind, time, _data):
+        for node, store in sim.stores.items():
+            if store.last_sweep_at != seen.get(node, 0.0):
+                seen[node] = store.last_sweep_at
+                sweeps.append((time, node))
+
+    oppvid.sim.Simulator(build(oppvid, world), check_invariants=True, on_event=hook).run()
+    return sweeps
+
+
+def test_a_replica_stored_by_a_relay_transfer_is_swept_when_it_alone_is_due():
+    # S0 (made at 1000) and P (at 2000) live 1450 s. n00 hands both to n01
+    # by 2223; the tick at 2400 acknowledges them and n03 takes that ACK at
+    # 2410. n00 meets n02 at 2500: the link-up sweeps the dead S0, and P
+    # leaves for n02 at 2563. n03's ACK reaches n00 at 2583 and purges P
+    # there, so the tick at 2600 finds no entry anywhere and lifts the floor
+    # to infinity. P lands at n02 at 2625: that store alone must lower the
+    # floor again, or the tick at 3600 would not sweep it.
+    world = World(contacts=((2010, "n00", "n01", "up"), (2400, "n00", "n01", "down"),
+                            (2410, "n01", "n03", "up"), (2500, "n01", "n03", "down"),
+                            (2500, "n00", "n02", "up"), (2700, "n00", "n02", "down"),
+                            (2540, "n00", "n03", "up"), (2700, "n00", "n03", "down")),
+                  bandwidth=1.0, duration=3600, ttl=1450, ack_period=200, segment_period=1000,
+                  mode="fixed:low", base_bytes=2)
+    ours = assert_same_run(world)
+    assert ours["stores"] == {"n00": [("n00_s2_L0", 8)], "n02": [], "n03": []}
+    assert sweeps_of(world) == [(2500, "n00"), (3600, "n02")]
+
+
+def test_a_stale_heap_head_below_the_earliest_expiry_sweeps_nothing():
+    # S0 (made at 1000, dead after 2000) reaches n01 by 1135; the tick at
+    # 1200 acknowledges it and n00 takes that ACK at 1500, which drops S0
+    # but leaves its heap item. P is made at 2000 and lives to 3000. The
+    # tick at 2400 finds the floor passed, but n00's true earliest expiry
+    # is P's: nothing is swept there until the tick at 3600.
+    world = World(contacts=((1010, "n00", "n01", "up"), (1300, "n00", "n01", "down"),
+                            (1500, "n00", "n01", "up"), (1600, "n00", "n01", "down")),
+                  bandwidth=1.0, duration=3600, ttl=1000, ack_period=600, segment_period=1000,
+                  mode="fixed:low", base_bytes=2)
+    ours = assert_same_run(world)
+    assert ours["stores"]["n00"] == [("n00_s2_L0", 8)]
+    assert sweeps_of(world) == [(3600, "n00")]
+
+
+def test_a_link_up_between_two_ticks_sweeps_what_has_died_since_the_first():
+    # S0 (made at 1000) dies after 1500, between the ticks at 1000 and 2000.
+    # The link-up at 1700 sweeps it, so n00 offers n02 nothing and the
+    # contact moves no payload.
+    world = World(contacts=((1700, "n00", "n02", "up"), (1800, "n00", "n02", "down"),
+                            (2050, "n01", "n02", "up"), (2100, "n01", "n02", "down")),
+                  bandwidth=1.0, duration=2100, ttl=500, ack_period=1000, segment_period=1000,
+                  mode="fixed:low", base_bytes=2)
+    ours = assert_same_run(world)
+    assert ours["metrics"][4] == 0  # relay_transmissions
+    assert ours["lost"] == {"n00_s0_L0": 8}
+    assert sweeps_of(world) == [(1700, "n00")]

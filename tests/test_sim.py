@@ -24,13 +24,14 @@ from oppvid.sim import (
     Scenario,
     ScenarioError,
     Simulator,
+    _memo_size,
     parse_mode,
     run,
     verify_global_invariants,
 )
 from oppvid.store import StoredEntry
 from oppvid.trace import ContactEvent, ContactKind, generate_synthetic_trace, parse_trace, trace_nodes
-from oppvid.wire import AckMsg
+from oppvid.wire import AckMsg, InventoryMsg, transmission_size
 
 NO_SEGMENTS = AdaptationConfig(segment_period=10_000_000)
 
@@ -155,6 +156,22 @@ def test_store_inventory_matches_a_fresh_sort_after_every_event():
 
     for seed in range(20):
         Simulator(random_scenario(seed), on_event=hook).run()
+
+
+def test_size_memos_and_expiry_floor_match_a_fresh_look_after_every_event():
+    def hook(sim, kind, time, data):
+        for node, view in sim.views.items():
+            for memo, current, make in ((sim._ack_bytes, view.current_ack(), AckMsg),
+                                        (sim._inventory_bytes, view.inventory(), InventoryMsg)):
+                if node in memo:  # what a lookup now returns, without changing the memo
+                    assert _memo_size({node: memo[node]}, node, current, make) == transmission_size(make(current))
+        floor = sim._expiry_floor
+        assert all(floor <= store.next_expiry() for store in sim.stores.values())
+        if kind == "ack":
+            assert floor >= time  # a tick that found it passed raised it
+
+    for seed in range(20):
+        Simulator(random_scenario(seed), check_invariants=True, on_event=hook).run()
 
 
 def test_ack_garbage_collects_relay_copies():
