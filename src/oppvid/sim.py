@@ -7,19 +7,20 @@ scenario (including its seed) maps to exactly one run. The events known
 before the run (link ups and downs, segment and ACK ticks) sit in one list
 sorted latest first; a heap holds only the messages in flight, numbered
 after them, and each step takes the earlier of the two heads. Most
-contacts move no payload; one whose handshake nothing else can interleave
-with is settled at its link-up in one step (``_settle_quiet_contact``):
-both ACK merges, both empty request lists and both graceful-end stamps, from
-the engines' own ``merge_ack`` and ``compute_request_list`` and the same
-arrival arithmetic as a scheduled message. Any other contact, or one where
-a side wants a payload, runs on two ``ConnectionEngine``s message by
-message. Each store hands every INVENTORY and REQUEST the same sorted
-inventory list until its entries next change (``NodeStore.inventory``).
-One-step contacts size a node's ACK and INVENTORY once per Ack object and
-inventory list; both are replaced, never mutated. ACK ticks and link-ups
-sweep nothing until a world-wide expiry floor, lowered by every insert and
-raised by a tick that passes it, has passed; then only the stores with an
-expiry due, so a store with nothing due keeps its ``last_sweep_at``.
+contacts move no payload; one whose handshake no event of its own two
+nodes, nor an ACK tick, can interleave with is settled at its link-up in
+one step (``_settle_quiet_contact``): both ACK merges, both empty request
+lists and both graceful-end stamps, from the engines' own ``merge_ack``
+and ``compute_request_list`` and the same arrival arithmetic as a
+scheduled message. Any other contact, or one where a side wants a
+payload, runs on two ``ConnectionEngine``s message by message. Each store
+hands every INVENTORY and REQUEST the same sorted inventory list until
+its entries next change (``NodeStore.inventory``). One-step contacts size
+a node's ACK and INVENTORY once per Ack object and inventory list; both
+are replaced, never mutated. ACK ticks and link-ups sweep nothing until a
+world-wide expiry floor, lowered by every insert and raised by a tick
+that passes it, has passed; then only the stores with an expiry due, so
+a store with nothing due keeps its ``last_sweep_at``.
 Every action an engine emits is applied in one place,
 ``Simulator._apply_actions``. Copy-count conservation is tracked exactly:
 for every payload the relay-side sum must equal the initial budget minus
@@ -331,6 +332,8 @@ class Simulator:
         self.recents: dict[str, dict[str, float]] = {n: {} for n in nodes}
 
         self.conns: dict[tuple[str, str], _Connection] = {}
+        # Open engine connections per node.
+        self.open_conns: dict[str, int] = dict.fromkeys(nodes, 0)
         # (sender, payload id) of every payload in flight.
         self.locked: set[tuple[str, PayloadId]] = set()
         # Ids each node has requested on any open connection and not yet
@@ -466,23 +469,30 @@ class Simulator:
                 self.views[node], peer=conn.peer[node], is_initiator=node == initiator
             )
         self.conns[data] = conn
+        self.open_conns[a] += 1
+        self.open_conns[b] += 1
         for node in (initiator, responder):
             self._step_engine(conn, node, Connected(conn.peer[node]), now)
 
     def _settle_quiet_contact(self, i: str, r: str, now: float) -> bool:
         """End a contact that moves no payload gracefully, in one step, if
-        nothing else can interleave with it; False, with nothing applied, if
-        it cannot be settled so.
+        nothing can interleave with its handshake; False, with nothing
+        applied, if it cannot be settled so.
 
         With both request lists empty, initiator ``i`` and responder ``r``
         send ACK, INVENTORY, an empty REQUEST and COMPLETE each way: their
         INVENTORYs land at ``a2`` and ``b2``; each REQUEST leaves when the
         peer's INVENTORY lands, so both land at ``c``; ``i``'s COMPLETE ends
-        ``r`` at ``d`` and ``r``'s ends ``i`` at ``e``. Nothing interleaves
-        when ``e`` is within the run, no timeline event comes before ``e``
-        (messages go first at equal times), and no message is in flight
-        until after ``e`` (one at ``e`` was numbered earlier and goes first).
+        ``r`` at ``d`` and ``r``'s ends ``i`` at ``e``. The handshake touches
+        only ``i``'s and ``r``'s state, so only their events can interleave:
+        a message of an open connection of theirs, or, before ``e``
+        (messages go first at equal times), a link up or down naming them, a
+        segment tick at one of them, or any ACK tick, whose sweep can reach
+        every store. ``e`` must also be within the run.
         """
+        open_conns = self.open_conns
+        if open_conns[i] or open_conns[r]:
+            return False
         view_i, view_r = self.views[i], self.views[r]
         ack_i, ack_r = view_i.current_ack(), view_r.current_ack()
         # Each INVENTORY is built at link-up, before either ACK is adopted.
@@ -508,10 +518,15 @@ class Simulator:
         c = _arrival(a2 if a2 > b2 else b2, _EMPTY_REQUEST_BYTES, bandwidth)
         d = _arrival(c, _COMPLETE_BYTES, bandwidth)
         e = _arrival(d, _COMPLETE_BYTES, bandwidth)
-        timeline, heap = self._timeline, self._heap
-        if (e > self.scenario.duration or (timeline and timeline[-1][0] < e)
-                or (heap and heap[0][0] <= e)):
+        if e > self.scenario.duration:
             return False
+        at_source = self.scenario.source in (i, r)
+        for time, _, _, kind, data in reversed(self._timeline):
+            if time >= e:
+                break
+            # Only a link event's data names nodes.
+            if kind == "ack" or i in data or r in data or (at_source and kind == "segment"):
+                return False
         if changed_r:
             self._adopt_ack(r, merged_r)
         if changed_i:
@@ -720,6 +735,8 @@ class Simulator:
         for node, ids in conn.pending.items():
             self.pending_inbound[node] -= ids
         del self.conns[(conn.a, conn.b)]
+        self.open_conns[conn.a] -= 1
+        self.open_conns[conn.b] -= 1
 
     # -- metrics -----------------------------------------------------------------
 

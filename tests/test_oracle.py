@@ -11,8 +11,9 @@ tie, and use tiny layers and copy budgets so that contacts overlap and move
 payloads. A second family is long and sparse at 1 B/s, with many contacts
 with the destination that overlap another handshake of the same relay, so
 that ACKs arrive while other messages are in the air. The hand-made worlds
-after them hold the one-step contact's guard at its equal-time edges, the
-store changes an INVENTORY must show, and the expiry floor's three edges.
+after them hold the one-step contact's guard at its equal-time edges and at
+the edge of its own two nodes, the store changes an INVENTORY must show, and
+the expiry floor's three edges.
 """
 from __future__ import annotations
 
@@ -218,13 +219,18 @@ def quiet_contact(down: float, **fields) -> World:
                     **fields})
 
 
-def run_counting_messages(world: World):
-    """Our run of ``world`` and the number of message events it handled."""
-    kinds = []
-    sim = oppvid.sim.Simulator(build(oppvid, world), check_invariants=True,
-                               on_event=lambda _sim, kind, _time, _data: kinds.append(kind))
+def run_counting_messages(world: World, between: tuple[str, str] | None = None):
+    """Our run of ``world`` and the number of message events it handled, or
+    of those between the two nodes ``between``."""
+    counted = []
+
+    def hook(_sim, kind, _time, data):
+        if kind == "msg" and (between is None or {data[1], data[2]} == set(between)):
+            counted.append(data)
+
+    sim = oppvid.sim.Simulator(build(oppvid, world), check_invariants=True, on_event=hook)
     sim.run()
-    return sim, kinds.count("msg")
+    return sim, len(counted)
 
 
 def test_quiet_contact_ending_with_its_own_link_down_is_settled_in_one_step():
@@ -247,14 +253,122 @@ def test_quiet_contact_cut_just_before_its_end_runs_on_the_engines():
     assert_same_run(quiet_contact(down))
 
 
-@pytest.mark.parametrize("tick", [dict(segment_period=105), dict(ack_period=105)],
+def source_contact(**fields) -> World:
+    """The quiet contact with the source n00 in n01's place; n01 meets n03 later."""
+    return World(contacts=((100, "n00", "n02", "up"), (200, "n00", "n02", "down"),
+                           (300, "n01", "n03", "up"), (350, "n01", "n03", "down")),
+                 bandwidth=7.0, duration=400, ack_period=1000, **fields)
+
+
+# A segment tick touches only the source's store, so it sends a contact to
+# the engines only where the source is one of its nodes; an ACK tick can sweep
+# any store, so it does wherever the destination is.
+@pytest.mark.parametrize("world, initiator", [(source_contact(segment_period=105), "n00"),
+                                              (quiet_contact(200, ack_period=105), "n01")],
                          ids=["segment", "ack"])
-def test_a_tick_inside_the_handshake_sends_the_contact_to_the_engines(tick):
-    world = quiet_contact(200, **tick)
-    sim, messages = run_counting_messages(world)
+def test_a_tick_inside_the_handshake_sends_the_contact_to_the_engines(world, initiator):
+    sim, messages = run_counting_messages(world, (initiator, "n02"))
     assert messages >= 8
+    assert sim.recents["n02"] == {initiator: D} and sim.recents[initiator] == {"n02": E}
+    assert_same_run(world)
+
+
+def test_a_segment_tick_at_a_source_elsewhere_leaves_the_contact_settled():
+    # The segment made at 105 dies at 165 (TTL 60), and n00's link-up with
+    # n03 at 200 sweeps it, so no contact moves a payload.
+    world = quiet_contact(200, segment_period=105, ttl=60)
+    sim, messages = run_counting_messages(world)
+    assert messages == 0
     assert sim.recents["n02"] == {"n01": D} and sim.recents["n01"] == {"n02": E}
     assert_same_run(world)
+
+
+# Hand-made worlds for the guard's reach. A handshake touches only its own two
+# nodes, so another pair's link-up or message leaves it settled; an open
+# connection, a link-up or an ACK tick that can change what either node sends
+# or asks for sends it to the engines.
+def test_two_disjoint_pairs_up_in_the_same_second_are_both_settled():
+    world = World(contacts=((100, "n01", "n02", "up"), (200, "n01", "n02", "down"),
+                            (100, "n03", "n04", "up"), (150, "n03", "n04", "down")) + SOURCE_ELSEWHERE,
+                  bandwidth=7.0, duration=400, ack_period=1000)
+    sim, messages = run_counting_messages(world)
+    assert messages == 0
+    assert sim.recents["n02"] == {"n01": D} and sim.recents["n04"] == {"n03": D}
+    assert_same_run(world)
+
+
+def test_a_quiet_contact_beside_another_pairs_payload_in_flight_is_settled():
+    # n00 sends n04 the first segment's one 2-byte layer, in flight from 99
+    # to 107.86; n01 and n02 meet at 100 with nothing to move.
+    world = World(contacts=((90, "n00", "n04", "up"), (150, "n00", "n04", "down"),
+                            (100, "n01", "n02", "up"), (200, "n01", "n02", "down")),
+                  bandwidth=7.0, duration=400, ack_period=1000, segment_period=50,
+                  mode="fixed:low", base_bytes=2)
+    in_flight = []
+
+    def hook(sim, kind, _time, data):
+        if kind == "up" and data == ("n01", "n02"):
+            in_flight.extend(type(event[4][3]).__name__ for event in sim._heap)
+
+    oppvid.sim.Simulator(build(oppvid, world), check_invariants=True, on_event=hook).run()
+    assert in_flight == ["PayloadMsg"]
+    sim, messages = run_counting_messages(world, ("n01", "n02"))
+    assert messages == 0 and sim.relay_transmissions == 1
+    assert sim.recents["n02"] == {"n01": D}
+    assert_same_run(world)
+
+
+def slow_world(*contacts, **fields) -> World:
+    """At 1 B/s, with one 2-byte layer made at 1000 (P)."""
+    return World(contacts=contacts, **{"bandwidth": 1.0, "duration": 2000, "ack_period": 1200,
+                                       "segment_period": 1000, "mode": "fixed:low", "base_bytes": 2,
+                                       **fields})
+
+
+def test_a_quiet_contact_of_a_node_with_an_open_connection_runs_on_the_engines():
+    # n00 delivers P to n01 at 1010-1300 and keeps it; the tick at 1200
+    # acknowledges it. n00 meets n02 at 1500, and its INVENTORY, listing P,
+    # lands at 1544. n01 meets n02 at 1530, a quiet contact, but n01's ACK
+    # lands only at 1562, so n02 asks n00 for P. Settling at 1530 would hand
+    # n02 the ACK early, and P would stay with n00.
+    world = slow_world((1010, "n00", "n01", "up"), (1300, "n00", "n01", "down"),
+                       (1500, "n00", "n02", "up"), (1700, "n00", "n02", "down"),
+                       (1530, "n01", "n02", "up"), (1700, "n01", "n02", "down"))
+    sim, messages = run_counting_messages(world, ("n01", "n02"))
+    assert messages >= 8 and sim.relay_transmissions == 2
+    assert_same_run(world)
+
+
+def test_a_link_up_of_one_node_inside_the_handshake_runs_it_on_the_engines():
+    # n00 delivers P to n01 by 1135 and relays it to n02 at 1300. n01, whose
+    # ACK lists P from the tick at 1200, meets n02 at 1600, a quiet contact;
+    # n02 meets n03 at 1610. n01's ACK purges P at n02 only at 1632, so n02's
+    # INVENTORY to n03 lists P and n03 asks for it. Settling at 1600 would
+    # purge P first, and n02 and n03 would have nothing to ask for.
+    world = slow_world((1010, "n00", "n01", "up"), (1300, "n00", "n01", "down"),
+                       (1300, "n00", "n02", "up"), (1500, "n00", "n02", "down"),
+                       (1600, "n01", "n02", "up"), (1700, "n01", "n02", "down"),
+                       (1610, "n02", "n03", "up"), (1700, "n02", "n03", "down"))
+    _, messages = run_counting_messages(world, ("n01", "n02"))
+    assert messages >= 8
+    assert assert_same_run(world)["recents"]["n03"] == {"n02": 1610 + 21 + 23 + 19 + 4}
+
+
+def test_an_ack_tick_sweeping_both_sides_inside_the_handshake_runs_it_on_the_engines():
+    # P lives to 1420. n00 relays it to n02 and then to n03, so both hold it
+    # when they meet at 1400, a quiet contact away from the destination. The
+    # tick at 1440 sweeps P from both before either INVENTORY, listing P,
+    # lands at 1444, so each asks the other for it.
+    world = slow_world((1010, "n00", "n02", "up"), (1190, "n00", "n02", "down"),
+                       (1200, "n00", "n03", "up"), (1390, "n00", "n03", "down"),
+                       (1400, "n02", "n03", "up"), (1500, "n02", "n03", "down"),
+                       (1700, "n01", "n04", "up"), (1800, "n01", "n04", "down"),
+                       ttl=420, ack_period=720)
+    _, messages = run_counting_messages(world, ("n02", "n03"))
+    assert messages >= 8
+    ours = assert_same_run(world)
+    assert ours["recents"]["n03"]["n02"] == 1400 + 21 + 23 + 19 + 4
+    assert ours["lost"] == {"n00_s0_L0": 8}
 
 
 def payload_contact(down: float) -> World:

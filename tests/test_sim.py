@@ -11,6 +11,7 @@ import gc
 import heapq
 import random
 import weakref
+from collections import Counter
 
 import pytest
 from conftest import random_scenario, sorted_inventory
@@ -156,6 +157,15 @@ def test_store_inventory_matches_a_fresh_sort_after_every_event():
 
     for seed in range(20):
         Simulator(random_scenario(seed), on_event=hook).run()
+
+
+def test_open_connection_counts_match_the_live_connections_after_every_event():
+    def hook(sim, kind, time, data):
+        live = Counter(node for pair in sim.conns for node in pair)
+        assert sim.open_conns == {node: live[node] for node in sim.nodes}
+
+    for seed in range(20):
+        Simulator(random_scenario(seed), check_invariants=True, on_event=hook).run()
 
 
 def test_size_memos_and_expiry_floor_match_a_fresh_look_after_every_event():
